@@ -19,7 +19,9 @@ from .linalg import (
     NotPSDError,
     dagger,
     kron,
+    matrix_to_pairs,
     max_abs,
+    pairs_to_matrix,
     partial_trace,
     psd_sqrt,
 )
@@ -47,6 +49,13 @@ class InvalidRatesError(ChannelError):
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def next_power_of_two(n: int) -> int:
+    """Smallest power of two that is at least ``n`` (``n >= 1``)."""
+    if n < 1:
+        raise ValueError(f"{n} has no power-of-two padding; need at least 1")
+    return 1 << (n - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +131,7 @@ def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
         raise NotPowerOfTwoError(f"dimension {d} is not a power of two")
     total = sum(dagger(m) @ m for m in mats)
     dev = max_abs(total - np.eye(d))
-    if dev > tol:
+    if not dev <= tol:
         raise NotTracePreservingError(
             f"sum M^dag M deviates from identity by {dev:.3e} (tol {tol})"
         )
@@ -214,7 +223,7 @@ def group_kraus(kset: KrausSet, group_size: int) -> GroupedKrausSet:
 
     total = sum(dagger(op) @ op for op in expanded)
     dev = max_abs(total - np.eye(ld))
-    if dev > max(1e-9, 10 * kset.deviation):
+    if not dev <= max(1e-9, 10 * kset.deviation):
         raise NotTracePreservingError(
             f"expanded set deviates from identity by {dev:.3e}"
         )
@@ -359,22 +368,10 @@ def fmo_trajectory(
 # {"dim": d, "operators": [m matrices, each d x d of [re, im] pairs, row-major]}
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _pairs_to_matrix(rows, dim: int) -> np.ndarray:
-    m = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, (re, im) in enumerate(row):
-            m[i, j] = complex(re, im)
-    return m
-
-
 def kraus_to_json_dict(kset: KrausSet) -> dict:
     return {
         "dim": kset.dim,
-        "operators": [_matrix_to_pairs(m) for m in kset.operators],
+        "operators": [matrix_to_pairs(m) for m in kset.operators],
     }
 
 
@@ -382,21 +379,10 @@ def kraus_from_json_dict(data: dict, validate: bool = True, tol: float = 1e-9) -
     """Parse the Kraus JSON object; rejects non-CPTP input unless ``validate=False``."""
     try:
         dim = int(data["dim"])
-        raw = data["operators"]
-        mats = [_pairs_to_matrix(rows, dim) for rows in raw]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        mats = [pairs_to_matrix(rows) for rows in data["operators"]]
+        for m in mats:
+            if m.shape != (dim, dim):
+                raise ValueError(f"operator shape {m.shape} is not {(dim, dim)}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"malformed Kraus JSON: {exc}") from exc
-    if validate:
-        return validate_cptp(mats, tol=tol)
-    if not mats:
-        raise DimensionMismatchError("a Kraus set needs at least one operator")
-    if not is_power_of_two(dim):
-        raise NotPowerOfTwoError(f"dimension {dim} is not a power of two")
-    total = sum(dagger(m) @ m for m in mats)
-    dev = max_abs(total - np.eye(dim))
-    return KrausSet(
-        operators=tuple(mats),
-        dim=dim,
-        num_qubits=int(math.log2(dim)),
-        deviation=dev,
-    )
+    return validate_cptp(mats, tol=tol if validate else math.inf)

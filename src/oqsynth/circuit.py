@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costmodel
-from .channel import KrausSet, NotPowerOfTwoError, group_kraus
+from .channel import KrausSet, NotPowerOfTwoError, group_kraus, is_power_of_two
+from .costmodel import format_float
 from .dilation import stinespring_isometry, svd_dilation, sznagy_unitary
+from .linalg import matrix_to_pairs, pairs_to_matrix
 
 ELEMENTARY = ("H", "T", "TDG", "RZ", "RY", "CNOT")
 MARKERS = ("POSTSELECT", "TRACE_OUT")
@@ -261,6 +263,46 @@ def multi_target_cswap(
     return gates
 
 
+def _mixer_ancillas(num_states: int, width: int, mode: str) -> int:
+    """Ancillas of a mixing tree: one control per merge, plus fanout copies."""
+    return (num_states - 1) * (1 if mode == "shared" else width)
+
+
+def _mixer_tree(num_states: int, width: int, mode: str, weights=None):
+    """Gates of the binary CSWAP mixing tree over registers 0..num_states-1.
+
+    Register i is wires [i*width, (i+1)*width). Registers merge pairwise at
+    doubling strides, so register 0 ends up holding the mixture. Each merge
+    takes the next ancilla block after the registers: its control, prepared
+    with H (or, given ``weights``, with an RY angle matching the relative
+    subtree weights), then in fanout mode the control copies.
+    """
+    reg_wires = [range(i * width, (i + 1) * width) for i in range(num_states)]
+    per_merge = _mixer_ancillas(2, width, mode)
+    subtree = None if weights is None else list(weights)
+    control = num_states * width
+    stride = 1
+    while stride < num_states:
+        for i in range(0, num_states, 2 * stride):
+            k = i + stride
+            if subtree is None:
+                yield h(control)
+            else:
+                wi, wk = subtree[i], subtree[k]
+                keep_amp = math.sqrt(wi / (wi + wk)) if wi + wk > 0 else 1.0
+                yield ry(control, 2 * math.acos(min(1.0, keep_amp)))
+                subtree[i] = wi + wk
+            pairs = list(zip(reg_wires[i], reg_wires[k]))
+            if mode == "shared":
+                # atomic logical gate keeps each layer at exactly one weight
+                yield multi_target_cswap_gate(control, pairs)
+            else:
+                extra = range(control + 1, control + per_merge)
+                yield from multi_target_cswap(control, pairs, mode=mode, ancillas=extra)
+            control += per_merge
+        stride *= 2
+
+
 def build_mixer(
     num_states: int,
     state_width: int,
@@ -278,59 +320,29 @@ def build_mixer(
     """
     n_states = num_states
     q = state_width
-    if n_states < 1 or (n_states & (n_states - 1)) != 0:
+    if not is_power_of_two(n_states):
         raise NotPowerOfTwoError(f"number of states {n_states} is not a power of two")
     if q < 1:
         raise CircuitError("state width must be at least one qubit")
-    if weights is None:
-        w = [1.0] * n_states
-        uniform = True
-    else:
-        w = [float(x) for x in weights]
-        if len(w) != n_states or any(x < 0 for x in w) or sum(w) <= 0:
+    if weights is not None:
+        weights = [float(x) for x in weights]
+        if len(weights) != n_states or any(x < 0 for x in weights) or sum(weights) <= 0:
             raise CircuitError("weights must be a non-negative vector per state")
-        uniform = len(set(w)) == 1
+        if len(set(weights)) == 1:
+            weights = None
 
     regs = {f"reg{i}": tuple(range(i * q, (i + 1) * q)) for i in range(n_states)}
-    anc_per_merge = 1 if mode == "shared" else q
-    merges = n_states - 1
-    num_anc = anc_per_merge * merges
+    num_anc = _mixer_ancillas(n_states, q, mode)
     circ = Circuit(
         num_qubits=n_states * q + num_anc,
         registers={**regs, "mixer_anc": tuple(range(n_states * q, n_states * q + num_anc))},
-        input_registers=tuple(regs[f"reg{i}"] for i in range(n_states)),
+        input_registers=tuple(regs.values()),
     )
     if n_states == 1:
         return circ
 
-    next_anc = n_states * q
-    subtree = list(w)
-    layers = int(math.log2(n_states))
-    for j in range(1, layers + 1):
-        stride = 2 ** (j - 1)
-        for i in range(0, n_states, 2**j):
-            k = i + stride
-            wi, wk = subtree[i], subtree[k]
-            control = next_anc
-            extra = tuple(range(next_anc + 1, next_anc + anc_per_merge))
-            next_anc += anc_per_merge
-            keep_amp = math.sqrt(wi / (wi + wk)) if wi + wk > 0 else 1.0
-            if uniform:
-                circ.add(h(control))
-            else:
-                circ.add(ry(control, 2 * math.acos(min(1.0, keep_amp))))
-            pairs = list(zip(regs[f"reg{i}"], regs[f"reg{k}"]))
-            if mode == "shared":
-                # atomic logical gate keeps each layer at exactly one weight
-                circ.add(multi_target_cswap_gate(control, pairs))
-            else:
-                circ.extend(
-                    multi_target_cswap(control, pairs, mode=mode, ancillas=extra)
-                )
-            subtree[i] = wi + wk
-    traced = [qb for i in range(1, n_states) for qb in regs[f"reg{i}"]]
-    traced += list(range(n_states * q, n_states * q + num_anc))
-    circ.add(trace_out(traced))
+    circ.extend(_mixer_tree(n_states, q, mode, weights))
+    circ.add(trace_out(range(q, n_states * q + num_anc)))  # all but register 0
     return circ
 
 
@@ -394,7 +406,7 @@ def assemble_simulation_circuit(
             circ.add(trace_out(env))
         return circ
 
-    if (m & (m - 1)) != 0:
+    if not is_power_of_two(m):
         raise NotPowerOfTwoError(
             f"m = {m} is not a power of two; pad the set with zero operators first"
         )
@@ -405,26 +417,19 @@ def assemble_simulation_circuit(
     b_count = len(branches)
     cost = costmodel.dilation_cost(method, n, group_size=group_size)
 
-    anc_per_merge = 1 if mode == "shared" else q
-    num_anc = anc_per_merge * (b_count - 1)
-    registers: dict[str, tuple[int, ...]] = {}
-    input_regs = []
-    for i in range(b_count):
-        system, grouping, dil = _branch_qubits(i * q, n, g)
-        registers[f"branch{i}_system"] = system
-        if grouping:
-            registers[f"branch{i}_grouping"] = grouping
-        registers[f"branch{i}_dilation"] = (dil,)
-        input_regs.append(system)
-    registers["mixer_anc"] = tuple(range(b_count * q, b_count * q + num_anc))
+    num_anc = _mixer_ancillas(b_count, q, mode)
     circ = Circuit(
         num_qubits=b_count * q + num_anc,
-        registers=registers,
-        input_registers=tuple(input_regs),
+        registers={"mixer_anc": tuple(range(b_count * q, b_count * q + num_anc))},
+        input_registers=tuple(_branch_qubits(i * q, n, g)[0] for i in range(b_count)),
     )
 
     for i, op in enumerate(branches):
         system, grouping, dil = _branch_qubits(i * q, n, g)
+        circ.registers[f"branch{i}_system"] = system
+        if grouping:
+            circ.registers[f"branch{i}_grouping"] = grouping
+        circ.registers[f"branch{i}_dilation"] = (dil,)
         expanded = tuple(reversed(grouping)) + tuple(reversed(system))
         if method == "sznagy":
             art = sznagy_unitary(op, source_index=i)
@@ -465,42 +470,18 @@ def assemble_simulation_circuit(
                 )
             )
 
-    if b_count > 1:
-        next_anc = b_count * q
-        layers = int(math.log2(b_count))
-        reg_wires = [tuple(range(i * q, (i + 1) * q)) for i in range(b_count)]
-        for j in range(1, layers + 1):
-            stride = 2 ** (j - 1)
-            for i in range(0, b_count, 2**j):
-                k = i + stride
-                control = next_anc
-                extra = tuple(range(next_anc + 1, next_anc + anc_per_merge))
-                next_anc += anc_per_merge
-                circ.add(h(control))
-                pairs = list(zip(reg_wires[i], reg_wires[k]))
-                if mode == "shared":
-                    circ.add(multi_target_cswap_gate(control, pairs))
-                else:
-                    circ.extend(
-                        multi_target_cswap(control, pairs, mode=mode, ancillas=extra)
-                    )
+    circ.extend(_mixer_tree(b_count, q, mode))
 
-    system0, grouping0, dil0 = _branch_qubits(0, n, g)
+    _, grouping0, dil0 = _branch_qubits(0, n, g)
     circ.add(postselect(dil0, 0))
-    traced = list(grouping0)
-    for i in range(1, b_count):
-        traced.extend(range(i * q, (i + 1) * q))
-    traced.extend(range(b_count * q, b_count * q + num_anc))
+    # register 0's grouping wires, then every later register and the ancillas
+    traced = grouping0 + tuple(range(q, b_count * q + num_anc))
     if traced:
         circ.add(trace_out(traced))
     return circ
 
 
 # --- serialization -----------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def export_circuit(circ: Circuit, fmt: str = "native-text") -> str:
@@ -521,7 +502,7 @@ def export_circuit(circ: Circuit, fmt: str = "native-text") -> str:
 def _gate_line(g: Gate) -> str:
     parts = ["GATE", g.kind] + [f"q{q}" for q in g.qubits]
     if g.theta is not None:
-        parts.append(f"theta={_fmt(g.theta)}")
+        parts.append(f"theta={format_float(g.theta)}")
     notes = []
     if g.matrix_id is not None:
         notes.append(f"id={g.matrix_id}")
@@ -530,8 +511,8 @@ def _gate_line(g: Gate) -> str:
     if g.n_targets is not None:
         notes.append(f"n_targets={g.n_targets}")
     if g.kind == "OPAQUE_UNITARY" or g.kind == "MULTI_TARGET_CSWAP":
-        notes.append(f"depth_weight={_fmt(g.depth_weight)}")
-        notes.append(f"cnot_weight={_fmt(g.cnot_weight)}")
+        notes.append(f"depth_weight={format_float(g.depth_weight)}")
+        notes.append(f"cnot_weight={format_float(g.cnot_weight)}")
     line = " ".join(parts)
     if notes:
         line += " # " + ",".join(notes)
@@ -614,24 +595,17 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
 
 def opaque_sidecar(circ: Circuit) -> str:
     """JSON sidecar mapping matrix ids to [re, im]-pair matrices."""
-    payload = {
-        mid: [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-        for mid, mat in sorted(circ.matrices.items())
-    }
+    payload = {mid: matrix_to_pairs(mat) for mid, mat in sorted(circ.matrices.items())}
     return json.dumps(payload, indent=1)
 
 
 def parse_sidecar(text: str) -> dict[str, np.ndarray]:
+    """Inverse of :func:`opaque_sidecar`; a malformed matrix raises CircuitError."""
     raw = json.loads(text)
-    out = {}
-    for mid, rows in raw.items():
-        dim = len(rows)
-        m = np.empty((dim, len(rows[0])), dtype=complex)
-        for i, row in enumerate(rows):
-            for j, (re, im) in enumerate(row):
-                m[i, j] = complex(re, im)
-        out[mid] = m
-    return out
+    try:
+        return {mid: pairs_to_matrix(rows) for mid, rows in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise CircuitError(f"malformed sidecar matrix: {exc}") from exc
 
 
 _QASM_NAMES = {"H": "h", "T": "t", "TDG": "tdg", "RZ": "rz", "RY": "ry", "CNOT": "cx"}
@@ -645,7 +619,7 @@ def _export_qasm(circ: Circuit) -> str:
             name = _QASM_NAMES[g.kind]
             args = ",".join(f"q[{q}]" for q in g.qubits)
             if g.theta is not None:
-                lines.append(f"{name}({_fmt(g.theta)}) {args};")
+                lines.append(f"{name}({format_float(g.theta)}) {args};")
             else:
                 lines.append(f"{name} {args};")
         elif g.kind == "OPAQUE_UNITARY":

@@ -16,15 +16,12 @@ import numpy as np
 
 from . import channel, circuit, costmodel, simulator
 from .channel import ChannelError, NotTracePreservingError
-from .linalg import LinalgError
+from .costmodel import format_float
+from .linalg import LinalgError, pairs_to_matrix
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load_json(path: str):
@@ -56,13 +53,14 @@ def _load_state(path: str) -> np.ndarray:
         kind = data["kind"]
         raw = data["data"]
         if kind == "pure":
-            psi = np.array([complex(re, im) for re, im in raw])
+            psi = pairs_to_matrix([raw])[0]  # one row of amplitudes
             if psi.shape != (2**n,):
                 raise _InputError(f"pure state needs {2**n} amplitudes")
-            psi = psi / np.linalg.norm(psi)
-            return np.outer(psi, psi.conj())
+            if not 0 < np.linalg.norm(psi) < np.inf:
+                raise _InputError("pure state amplitudes need a finite, non-zero norm")
+            return simulator.DensityMatrix.from_pure(psi).matrix
         if kind == "density":
-            m = np.array([[complex(re, im) for re, im in row] for row in raw])
+            m = pairs_to_matrix(raw)
             if m.shape != (2**n, 2**n):
                 raise _InputError(f"density matrix must be {2**n} square")
             return m
@@ -78,9 +76,9 @@ def _write_text(path: str, text: str) -> None:
 
 def _pad_to_power_of_two(kset: channel.KrausSet) -> channel.KrausSet:
     m = kset.num_operators
-    if m & (m - 1) == 0:
+    if channel.is_power_of_two(m):
         return kset
-    m_pad = 1 << (m - 1).bit_length()
+    m_pad = channel.next_power_of_two(m)
     print(
         f"warning: padding operator count from {m} to {m_pad} with zero blocks",
         file=sys.stderr,
@@ -88,6 +86,15 @@ def _pad_to_power_of_two(kset: channel.KrausSet) -> channel.KrausSet:
     zeros = [np.zeros((kset.dim, kset.dim), dtype=complex) for _ in range(m_pad - m)]
     return channel.validate_cptp(
         list(kset.operators) + zeros, tol=max(1e-9, 2 * kset.deviation)
+    )
+
+
+def _assemble(args, kset: channel.KrausSet):
+    """Pad the set for the mixer routes, then lower it with the chosen options."""
+    if args.method != "stinespring":
+        kset = _pad_to_power_of_two(kset)
+    return kset, circuit.assemble_simulation_circuit(
+        kset, args.method, group_size=args.group, mode=args.mode
     )
 
 
@@ -99,7 +106,7 @@ def cmd_validate(args) -> int:
         return EXIT_SEMANTIC
     print(
         f"valid CPTP set: m={kset.num_operators} dim={kset.dim} "
-        f"qubits={kset.num_qubits} deviation={_fmt(kset.deviation)}"
+        f"qubits={kset.num_qubits} deviation={format_float(kset.deviation)}"
         + ("" if kset.is_minimal else " (non-minimal: m > dim^2)")
     )
     return EXIT_OK
@@ -107,11 +114,7 @@ def cmd_validate(args) -> int:
 
 def cmd_synth(args) -> int:
     kset = _load_kraus(args.kraus, validate=not args.no_validate, tol=args.tol)
-    if args.method != "stinespring":
-        kset = _pad_to_power_of_two(kset)
-    circ = circuit.assemble_simulation_circuit(
-        kset, args.method, group_size=args.group, mode=args.mode
-    )
+    kset, circ = _assemble(args, kset)
     report = costmodel.combined_cost(
         args.method,
         kset.num_qubits,
@@ -126,8 +129,8 @@ def cmd_synth(args) -> int:
         _write_text(args.metrics, json.dumps(report.to_dict(), indent=1) + "\n")
     print(
         f"synthesized {args.method} circuit: qubits={circ.num_qubits} "
-        f"depth={_fmt(circ.depth())} cnots={_fmt(circ.cnot_count())} "
-        f"p_success={_fmt(report.success_probability)}"
+        f"depth={format_float(circ.depth())} cnots={format_float(circ.cnot_count())} "
+        f"p_success={format_float(report.success_probability)}"
     )
     return EXIT_OK
 
@@ -139,20 +142,14 @@ def cmd_simulate(args) -> int:
         raise _InputError(
             f"state dimension {rho.shape[0]} does not match channel dimension {kset.dim}"
         )
-    if args.method != "stinespring":
-        kset = _pad_to_power_of_two(kset)
-    circ = circuit.assemble_simulation_circuit(
-        kset, args.method, group_size=args.group, mode=args.mode
-    )
+    kset, circ = _assemble(args, kset)
     want = channel.apply_channel(kset, rho)
     got, p = simulator.run(circ, rho)
-    residual = float(np.abs(got.matrix - want).max())
-    expected_p = (
-        1.0 if args.method == "stinespring" else args.group / kset.num_operators
-    )
-    print(f"residual={_fmt(residual)}")
-    print(f"success_probability={_fmt(p)} expected={_fmt(expected_p)}")
-    if residual > args.tol or abs(p - expected_p) > 1e-12:
+    expected_p = costmodel.success_probability(args.method, kset.num_operators, args.group)
+    residual, _, ok = simulator.compare_to_oracle(got.matrix, want, p, expected_p, args.tol)
+    print(f"residual={format_float(residual)}")
+    print(f"success_probability={format_float(p)} expected={format_float(expected_p)}")
+    if not ok:
         print("FAIL: circuit output disagrees with the channel oracle")
         return EXIT_SEMANTIC
     print("PASS: circuit output matches the channel oracle")
@@ -169,9 +166,9 @@ def cmd_fmo(args) -> int:
     traj = channel.fmo_trajectory(params, rho0, args.steps)
     lines = ["step,time_fs,p_site0,p_site1,p_site2,p_site3,p_site4,trace"]
     for step in range(traj.steps + 1):
-        cols = [str(step), _fmt(traj.times_fs[step])]
-        cols += [_fmt(x) for x in traj.populations[step]]
-        cols.append(_fmt(traj.traces[step]))
+        cols = [str(step), format_float(traj.times_fs[step])]
+        cols += [format_float(x) for x in traj.populations[step]]
+        cols.append(format_float(traj.traces[step]))
         lines.append(",".join(cols))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -182,16 +179,16 @@ def cmd_fmo(args) -> int:
     final = traj.populations[-1]
     print(
         "final populations: "
-        + " ".join(f"site{s}={_fmt(final[s])}" for s in range(5))
-        + f" trace={_fmt(traj.traces[-1])}"
+        + " ".join(f"site{s}={format_float(final[s])}" for s in range(5))
+        + f" trace={format_float(traj.traces[-1])}"
     )
     return EXIT_OK
 
 
 def cmd_cost(args) -> int:
     m = args.m
-    if m & (m - 1) != 0:
-        m_pad = 1 << (m - 1).bit_length()
+    if not channel.is_power_of_two(m):
+        m_pad = channel.next_power_of_two(m)
         print(
             f"warning: m={m} is not a power of two; using padded m={m_pad}",
             file=sys.stderr,
@@ -287,16 +284,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotTracePreservingError as exc:
+    except (NotTracePreservingError, simulator.EquivalenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except simulator.EquivalenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except (_InputError, ChannelError, LinalgError, circuit.CircuitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (_InputError, ChannelError, LinalgError, circuit.CircuitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+from .channel import is_power_of_two, next_power_of_two
+
 METHODS = ("stinespring", "sznagy", "svd")
 ANCILLA_MODES = ("shared", "fanout")
 
@@ -34,10 +36,19 @@ def _check_mode(mode: str) -> None:
 
 
 def _log2_int(n: int, what: str) -> int:
-    k = int(math.log2(n))
-    if 2**k != n:
+    if not is_power_of_two(n):
         raise ValueError(f"{what} = {n} is not a power of two")
-    return k
+    return int(math.log2(n))
+
+
+def format_float(x: float) -> str:
+    """17 significant digits: every float round-trips through the text."""
+    return f"{x:.17g}"
+
+
+def success_probability(method: str, m: int, group_size: int) -> float:
+    """Post-selection success probability: group_size / m, or 1 for stinespring."""
+    return 1.0 if method == "stinespring" else group_size / m
 
 
 def multi_target_cswap_depth(n_targets: int) -> int:
@@ -91,7 +102,7 @@ def dilation_cost(
     if method == "stinespring":
         if m is None:
             raise ValueError("stinespring cost needs the operator count m")
-        m_pad = 1 << max(0, (m - 1).bit_length())
+        m_pad = next_power_of_two(m)
         cnot = m_pad * d**2 - m_pad * d / 24
         return BranchCost(
             cnot=cnot,
@@ -211,11 +222,11 @@ def report_to_csv_row(r: CostReport) -> str:
         str(r.m),
         str(r.group_size),
         r.ancilla_mode,
-        f"{r.depth:.17g}",
-        f"{r.cnot_count:.17g}",
+        format_float(r.depth),
+        format_float(r.cnot_count),
         str(r.qubit_count),
-        f"{r.success_probability:.17g}",
-        f"{r.expected_shots:.17g}",
+        format_float(r.success_probability),
+        format_float(r.expected_shots),
     ]
     return ",".join(vals)
 
@@ -240,10 +251,10 @@ def combined_cost(
     """
     _check_method(method)
     _check_mode(mode)
-    _log2_int(m, "operator count m")
+    k = _log2_int(m, "operator count m")
+    p = success_probability(method, m, group_size)
     if method == "stinespring":
         branch = dilation_cost(method, n, m=m)
-        k = max(0, (m - 1).bit_length())
         return CostReport(
             method=method,
             n=n,
@@ -253,21 +264,19 @@ def combined_cost(
             depth=branch.depth,
             cnot_count=branch.cnot,
             qubit_count=n + k,
-            success_probability=1.0,
-            expected_shots=1.0,
+            success_probability=p,
+            expected_shots=1.0 / p,
             dilation_cnot=branch.cnot,
             dilation_depth=branch.depth,
             uncounted_cnot_bound=branch.uncounted_cnot_bound,
             notes="deterministic; single circuit call",
         )
-    _log2_int(group_size, "group size")
+    q = n + 1 + _log2_int(group_size, "group size")
     if group_size > m:
         raise ValueError(f"group size {group_size} exceeds m = {m}")
     branches = m // group_size
-    q = n + 1 + _log2_int(group_size, "group size")
     branch = dilation_cost(method, n, group_size=group_size)
     mix = mixer_cost(branches, q, mode)
-    p = group_size / m
     notes = ""
     if group_size == m:
         notes = "stinespring dominates: grouped dilation carries extra defect terms"
@@ -298,8 +307,7 @@ def sweep_group_sizes(
     """Cost reports for every power-of-two group size from 1 to m."""
     if method == "stinespring":
         raise ValueError("group-size sweep applies to sznagy/svd only")
-    _log2_int(m, "operator count m")
-    sizes = [2**k for k in range(int(math.log2(m)) + 1)]
+    sizes = [2**k for k in range(_log2_int(m, "operator count m") + 1)]
     return [combined_cost(method, n, m, group_size=l, mode=mode) for l in sizes]
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet
+from .channel import KrausSet, next_power_of_two
 from .linalg import (
+    complete_isometry,
     dagger,
     is_unitary,
     kron,
@@ -79,7 +80,7 @@ def stinespring_isometry(kset: KrausSet, complete: bool = False) -> DilationArti
     success probability 1.
     """
     m = kset.num_operators
-    m_pad = 1 << max(0, (m - 1).bit_length())
+    m_pad = next_power_of_two(m)
     d = kset.dim
     blocks = list(kset.operators) + [
         np.zeros((d, d), dtype=complex) for _ in range(m_pad - m)
@@ -87,14 +88,23 @@ def stinespring_isometry(kset: KrausSet, complete: bool = False) -> DilationArti
     v = np.vstack(blocks)
     matrices = {"isometry": v}
     if complete:
-        from .linalg import complete_isometry
-
         matrices["unitary"] = complete_isometry(v, tol=1e-9)
     return DilationArtifact(
         kind="stinespring",
         matrices=matrices,
         ancilla_qubits=int(math.log2(m_pad)),
     )
+
+
+def _contraction_svd(m: np.ndarray, tol: float):
+    """SVD of a square operator whose spectral norm is at most 1 + ``tol``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DilationError(f"expected a square operator, got {m.shape}")
+    u, s, vdag = svd_factorize(m)
+    if not s.max(initial=0.0) <= 1.0 + tol:
+        raise NotContractionError(f"spectral norm {s.max():.12f} exceeds 1 + {tol}")
+    return m, u, s, vdag
 
 
 def sznagy_unitary(
@@ -111,15 +121,7 @@ def sznagy_unitary(
     even when unit singular values are degenerate (separate PSD square
     roots lose ~sqrt(eps) there and fail the unitarity check).
     """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if m.shape != (d, d):
-        raise DilationError(f"expected a square operator, got {m.shape}")
-    u_f, s, vdag = svd_factorize(m)
-    if s.max(initial=0.0) > 1.0 + tol:
-        raise NotContractionError(
-            f"spectral norm {s.max():.12f} exceeds 1 + {tol}"
-        )
+    m, u_f, s, vdag = _contraction_svd(m, tol)
     root = np.sqrt(1.0 - np.clip(s, 0.0, 1.0) ** 2)
     defect = (dagger(vdag) * root) @ vdag
     defect_dagger = (u_f * root) @ dagger(u_f)
@@ -146,15 +148,7 @@ def svd_dilation(
     Singular values in (1, 1 + tol] are clamped to 1; larger ones are
     rejected.
     """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if m.shape != (d, d):
-        raise DilationError(f"expected a square operator, got {m.shape}")
-    u, s, vdag = svd_factorize(m)
-    if s.max(initial=0.0) > 1.0 + tol:
-        raise NotContractionError(
-            f"singular value {s.max():.12f} exceeds 1 + {tol}"
-        )
+    _, u, s, vdag = _contraction_svd(m, tol)
     s = np.clip(s, 0.0, 1.0)
     lift = 1j * np.sqrt(1.0 - s**2)
     u_sigma = np.diag(np.concatenate([s + lift, s - lift]))

@@ -37,14 +37,6 @@ class ConvergenceFailure(LinalgError):
     pass
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array (copying, never aliasing)."""
-    m = np.array(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    return m
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
@@ -67,10 +59,7 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return max_abs(dagger(a) @ a - eye) <= tol
+    return a.shape[0] == a.shape[1] and is_isometry(a, tol)
 
 
 def is_isometry(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -120,45 +109,41 @@ def svd_factorize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vdag
 
 
+def matrix_to_pairs(m: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex matrix, row-major (JSON form)."""
+    m = np.asarray(m)
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def pairs_to_matrix(rows) -> np.ndarray:
+    """Inverse of :func:`matrix_to_pairs`.
+
+    Raises ``ValueError`` unless ``rows`` is an r x c grid of finite
+    ``[re, im]`` pairs.
+    """
+    a = np.asarray(rows, dtype=float)
+    if a.ndim != 3 or a.shape[2] != 2:
+        raise ValueError(f"expected rows of [re, im] pairs, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    # reinterpret each [re, im] pair in place: bit-exact, signed zeros kept
+    return np.ascontiguousarray(a).view(complex)[..., 0]
+
+
 def complete_isometry(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Extend an isometry to a square unitary whose first columns equal ``v``.
 
-    Remaining columns are built by Gram-Schmidt over standard basis vectors,
-    skipping candidates whose projection residual norm falls below 1e-6, and
-    re-orthogonalized once for numerical stability. The input columns are
-    copied into the result exactly.
+    The remaining columns are the orthogonal complement from a complete QR
+    factorization of ``v``. The input columns are copied into the result
+    exactly.
     """
     v = np.asarray(v, dtype=complex)
     rows, cols = v.shape
     if rows < cols:
         raise NotIsometryError(f"isometry needs rows >= cols, got {v.shape}")
-    if max_abs(dagger(v) @ v - np.eye(cols)) > tol:
+    if not is_isometry(v, tol):
         raise NotIsometryError("columns are not orthonormal within tolerance")
-
-    fixed = [v[:, j] for j in range(cols)]
-    added: list[np.ndarray] = []
-    for i in range(rows):
-        if cols + len(added) == rows:
-            break
-        cand = np.zeros(rows, dtype=complex)
-        cand[i] = 1.0
-        for col in fixed + added:
-            cand = cand - np.vdot(col, cand) * col
-        norm = np.linalg.norm(cand)
-        if norm < 1e-6:
-            continue
-        added.append(cand / norm)
-    if cols + len(added) != rows:
-        raise NotIsometryError("failed to complete isometry from standard basis")
-
-    # one re-orthogonalization pass over the new columns
-    for idx in range(len(added)):
-        col = added[idx]
-        for prev in fixed + added[:idx]:
-            col = col - np.vdot(prev, col) * prev
-        added[idx] = col / np.linalg.norm(col)
-
-    u = np.column_stack(fixed + added)
+    u = np.linalg.qr(v, mode="complete")[0]
     u[:, :cols] = v
     if not is_unitary(u, tol):
         raise NotIsometryError("completed matrix failed the unitarity check")

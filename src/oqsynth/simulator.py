@@ -21,9 +21,12 @@ import numpy as np
 
 from .channel import KrausSet, apply_channel
 from .circuit import Circuit, Gate, assemble_simulation_circuit
+from .costmodel import success_probability
+from .dilation import HADAMARD
 from .linalg import DimensionMismatchError, dagger, max_abs
 
 ZERO_BRANCH_CUTOFF = 1e-14
+PROBABILITY_TOL = 1e-12
 
 
 class SimulationError(Exception):
@@ -38,7 +41,6 @@ class EquivalenceFailure(SimulationError):
     pass
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -47,7 +49,7 @@ _CNOT = np.array(
 
 def _single_qubit_matrix(g: Gate) -> np.ndarray:
     if g.kind == "H":
-        return _H
+        return HADAMARD
     if g.kind == "T":
         return _T
     if g.kind == "TDG":
@@ -353,6 +355,19 @@ def run(
     return DensityMatrix.from_matrix(out), eng.success_prob
 
 
+def compare_to_oracle(
+    got: np.ndarray, want: np.ndarray, p: float, expected_p: float, tol: float
+) -> tuple[float, float, bool]:
+    """Residual ``||got - want||_max``, probability error and the verdict.
+
+    The verdict passes only when the residual is within ``tol`` and the
+    probability within :data:`PROBABILITY_TOL`; NaN in either fails.
+    """
+    res = max_abs(got - want)
+    perr = abs(p - expected_p)
+    return res, perr, res <= tol and perr <= PROBABILITY_TOL
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Worst-case residuals of a circuit-vs-oracle verification run."""
@@ -386,10 +401,7 @@ def verify_equivalence(
     """
     circ = assemble_simulation_circuit(kset, method, group_size=group_size, mode=mode)
     d = kset.dim
-    if method == "stinespring":
-        expected_p = 1.0
-    else:
-        expected_p = group_size / kset.num_operators
+    expected_p = success_probability(method, kset.num_operators, group_size)
     worst_res = 0.0
     worst_perr = 0.0
     rng = np.random.default_rng(seed)
@@ -403,11 +415,10 @@ def verify_equivalence(
             rho = rho / np.trace(rho)
         want = apply_channel(kset, rho)
         got, p = run(circ, rho, max_qubits=max_qubits)
-        res = max_abs(got.matrix - want)
-        perr = abs(p - expected_p)
+        res, perr, ok = compare_to_oracle(got.matrix, want, p, expected_p, tol)
         worst_res = max(worst_res, res)
         worst_perr = max(worst_perr, perr)
-        if res > tol or perr > 1e-12:
+        if not ok:
             raise EquivalenceFailure(
                 f"{method} l={group_size} {mode}: trial {trial} (seed {seed}) "
                 f"residual {res:.3e} probability error {perr:.3e}"

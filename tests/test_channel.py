@@ -270,3 +270,26 @@ class TestKrausJson:
 
         with pytest.raises(ChannelError):
             kraus_from_json_dict({"operators": "nope"})
+
+    def test_rejects_operator_smaller_than_dim(self):
+        from oqsynth.channel import ChannelError
+
+        data = kraus_to_json_dict(validate_cptp([np.eye(2, dtype=complex)]))
+        data["dim"] = 4
+        with pytest.raises(ChannelError, match="not \\(4, 4\\)"):
+            kraus_from_json_dict(data, validate=False)
+
+    def test_rejects_non_finite_entries(self):
+        from oqsynth.channel import ChannelError
+
+        data = kraus_to_json_dict(validate_cptp([np.eye(2, dtype=complex)]))
+        data["operators"][0][1][1][0] = float("nan")
+        with pytest.raises(ChannelError, match="finite"):
+            kraus_from_json_dict(data, validate=False)
+
+
+def test_nan_operator_is_not_trace_preserving():
+    op = np.eye(2, dtype=complex)
+    op[0, 0] = np.nan
+    with pytest.raises(NotTracePreservingError):
+        validate_cptp([op])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,13 @@ class TestSerialization:
         assert export_circuit(c2) == text
         for mid, mat in c.matrices.items():
             assert max_abs(c2.matrices[mid] - mat) == 0.0
+
+    def test_sidecar_rejects_short_row(self):
+        k = random_kraus_set(1, 2, seed=9)
+        payload = json.loads(opaque_sidecar(assemble_simulation_circuit(k, "sznagy")))
+        payload["branch0_sznagy"][1].pop()
+        with pytest.raises(CircuitError, match="malformed sidecar"):
+            parse_sidecar(json.dumps(payload))
 
     def test_round_trip_rz_theta(self):
         c = circuit_of([rz(0, 0.1234567890123456789), ry(1, -2.5)], 2)

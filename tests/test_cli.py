@@ -48,6 +48,24 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_operator_smaller_than_dim(self, tmp_path, capsys):
+        data = kraus_to_json_dict(identity_set())
+        data["dim"] = 4
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert "not (4, 4)" in capsys.readouterr().err
+
+    def test_nan_entry_fails_closed(self, tmp_path, capsys):
+        data = kraus_to_json_dict(identity_set())
+        data["operators"][0][0][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "valid CPTP" not in captured.out
+        assert "finite" in captured.err
+
 
 class TestSynth:
     def test_fmo_svd_metrics(self, tmp_path, capsys):
@@ -136,6 +154,13 @@ class TestSimulate:
             tmp_path / "s.json", 2, "pure", [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]
         )
         assert main(["simulate", kpath, spath]) == 2
+
+    def test_zero_pure_state(self, tmp_path, capsys):
+        kpath = write_kraus(tmp_path / "k.json", identity_set())
+        spath = write_state(tmp_path / "zero.json", 1, "pure", [[0.0, 0.0], [0.0, 0.0]])
+        assert main(["simulate", kpath, spath, "--method", "sznagy"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "norm" in err
 
 
 class TestFmo:

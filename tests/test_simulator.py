@@ -25,6 +25,7 @@ from oqsynth.simulator import (
     DensityMatrix,
     EquivalenceFailure,
     ZeroProbabilityBranch,
+    compare_to_oracle,
     run,
     verify_equivalence,
 )
@@ -335,6 +336,15 @@ class TestVerifyEquivalence:
         b, pb = run(reparsed, rho)
         assert pa == pb
         assert max_abs(a.matrix - b.matrix) == 0.0
+
+    def test_oracle_comparison_fails_on_nan(self):
+        want = np.eye(2) / 2
+        got = want.copy()
+        got[0, 0] = np.nan
+        res, _, ok = compare_to_oracle(got, want, 1.0, 1.0, tol=1e-9)
+        assert np.isnan(res) and not ok
+        assert not compare_to_oracle(want, want, np.nan, 1.0, tol=1e-9)[2]
+        assert compare_to_oracle(want, want, 1.0, 1.0, tol=1e-9)[2]
 
 
 class TestDensityMatrixType:
