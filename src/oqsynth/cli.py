@@ -1,7 +1,9 @@
 """Command-line front end: validate, synth, simulate, fmo, cost.
 
 Exit codes: 0 success, 1 semantic failure (trace preservation or
-equivalence out of tolerance), 2 malformed input or I/O error. All
+equivalence out of tolerance, or a circuit the simulator could not run:
+a zero-probability post-selection, a factor wider than its limit, or
+memory exhausted), 2 malformed input or I/O error. All
 floating-point text output uses 17 significant digits so values round-trip
 exactly; commands are deterministic for a fixed ``--seed``.
 """
@@ -284,8 +286,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotTracePreservingError, simulator.EquivalenceFailure) as exc:
+    except (NotTracePreservingError, simulator.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except (_InputError, ChannelError, LinalgError, circuit.CircuitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,9 +5,10 @@ renormalizes on POSTSELECT (recording the branch probability), and reduces
 on TRACE_OUT. The state is kept as a product of independent density
 factors: qubits materialize lazily on first use as fresh factors, factors
 merge only when a gate spans them, and traced qubits leave their factor
-immediately. A mixing tree over many branch registers therefore only ever
-densifies one merge's worth of state (two registers plus their ancillas)
-no matter how the gates are ordered.
+immediately. A MULTI_TARGET_CSWAP is contracted straight from the factor
+tensors it touches, together with the trace of every wire whose last gate
+it is, so a mixing tree over many branch registers never builds more than
+the surviving register (never the two registers plus their control).
 
 Global basis convention: qubit 0 is the least significant bit.
 """
@@ -15,6 +16,7 @@ Global basis convention: qubit 0 is the least significant bit.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ from .linalg import DimensionMismatchError, dagger, max_abs
 
 ZERO_BRANCH_CUTOFF = 1e-14
 PROBABILITY_TOL = 1e-12
+_EINSUM_LABELS = string.ascii_letters  # the subscripts np.einsum accepts
 
 
 class SimulationError(Exception):
@@ -140,30 +143,11 @@ class _Factor:
         k = self.k
         ut = np.asarray(u, dtype=complex).reshape((2,) * (2 * g))
         rho = np.tensordot(ut, self.rho, axes=(list(range(g, 2 * g)), pos))
-        rho = np.moveaxis(rho, range(g), pos)
+        # rebinding self.rho frees the input before the second product
+        self.rho = np.moveaxis(rho, range(g), pos)
         cols = [k + p for p in pos]
-        rho = np.tensordot(ut.conj(), rho, axes=(list(range(g, 2 * g)), cols))
+        rho = np.tensordot(ut.conj(), self.rho, axes=(list(range(g, 2 * g)), cols))
         self.rho = np.moveaxis(rho, range(g), cols)
-
-    def apply_permutation(self, block_perm: np.ndarray, qubits) -> None:
-        """Apply a basis permutation specified on the listed qubit block."""
-        pos = [self.wires.index(q) for q in qubits]
-        k = self.k
-        dim = 2**k
-        g = len(pos)
-        shifts = [k - 1 - p for p in pos]  # bit position of each listed qubit
-        full = np.arange(dim)
-        block_bits = np.zeros(dim, dtype=np.int64)
-        for j, s in enumerate(shifts):
-            block_bits |= ((full >> s) & 1) << (g - 1 - j)
-        target = block_perm[block_bits]
-        out = full.copy()
-        for j, s in enumerate(shifts):
-            bit = (target >> (g - 1 - j)) & 1
-            out = (out & ~(1 << s)) | (bit << s)
-        inv = np.empty(dim, dtype=np.int64)
-        inv[out] = full
-        self.rho = self.flat()[np.ix_(inv, inv)].reshape((2,) * (2 * k))
 
     def postselect(self, qubit: int, outcome: int) -> float:
         pos = self.wires.index(qubit)
@@ -217,24 +201,86 @@ class _Engine:
                 self.factors.append(_Factor([q], zero))
                 live.add(q)
 
-    def factor_for(self, qubits) -> _Factor:
-        """Factor containing all the qubits, merging factors as needed."""
-        touching = []
-        rest = []
+    def _split(self, qubits) -> tuple[list[_Factor], list[_Factor]]:
+        """Factors holding any of the qubits, and the rest."""
+        touching, rest = [], []
         qset = set(qubits)
         for f in self.factors:
             (touching if qset & set(f.wires) else rest).append(f)
         if not touching:
             raise SimulationError(f"qubits {qubits} are not live")
-        merged = touching[0]
-        for f in touching[1:]:
-            merged = merged.merge(f)
-        if merged.k > self.max_qubits:
+        return touching, rest
+
+    def _check_width(self, k: int) -> None:
+        if k > self.max_qubits:
             raise SimulationError(
                 f"merging factors would exceed {self.max_qubits} live qubits"
             )
+
+    def factor_for(self, qubits) -> _Factor:
+        """Factor containing all the qubits, merging factors as needed."""
+        touching, rest = self._split(qubits)
+        self._check_width(sum(f.k for f in touching))
+        merged = touching[0]
+        for f in touching[1:]:
+            merged = merged.merge(f)
         self.factors = rest + [merged]
         return merged
+
+    def controlled_swap(self, g: Gate, traced: set[int]) -> None:
+        """Apply a MULTI_TARGET_CSWAP and trace out the ``traced`` gate wires.
+
+        For each control block |c><c'| the output is one einsum over the
+        touching factor tensors, with the control axes sliced to c and c':
+        each paired target wire reads its partner's row label when c = 1
+        and its partner's column label when c' = 1, and each traced wire
+        shares its row and column label so that einsum sums it out. A traced control keeps only
+        the blocks (0, 0) and (1, 1), summed.
+        """
+        ctrl, n_t = g.qubits[0], g.n_targets
+        a, b = g.qubits[1 : 1 + n_t], g.qubits[1 + n_t :]
+        swap = dict(zip(a + b, b + a))
+        touching, rest = self._split(g.qubits)
+        wires = [w for f in touching for w in f.wires if w != ctrl]
+        kept = [w for w in wires if w not in traced]
+        keep_ctrl = ctrl not in traced
+        self._check_width(len(kept) + keep_ctrl)
+        if len(wires) + len(kept) > len(_EINSUM_LABELS):
+            raise SimulationError(
+                f"contracting {len(wires)} wires needs more than "
+                f"{len(_EINSUM_LABELS)} einsum labels"
+            )
+        labels = iter(_EINSUM_LABELS)
+        row = {w: next(labels) for w in wires}
+        col = {w: row[w] if w in traced else next(labels) for w in wires}
+        out = "".join(row[w] for w in kept) + "".join(col[w] for w in kept)
+
+        def block(c: int, cc: int) -> np.ndarray:
+            terms, operands = [], []
+            for f in touching:
+                rho, fw = f.rho, f.wires
+                if ctrl in fw:
+                    p = fw.index(ctrl)
+                    idx = [slice(None)] * (2 * f.k)
+                    idx[p], idx[f.k + p] = c, cc
+                    rho, fw = rho[tuple(idx)], fw[:p] + fw[p + 1 :]
+                terms.append(
+                    "".join(row[swap.get(w, w) if c else w] for w in fw)
+                    + "".join(col[swap.get(w, w) if cc else w] for w in fw)
+                )
+                operands.append(rho)
+            return np.einsum(",".join(terms) + "->" + out, *operands, optimize=True)
+
+        if keep_ctrl:
+            k = len(kept) + 1
+            rho = np.empty((2,) * (2 * k), dtype=complex)
+            for c in (0, 1):
+                for cc in (0, 1):
+                    rho[(c,) + (slice(None),) * (k - 1) + (cc,)] = block(c, cc)
+            merged = _Factor([ctrl] + kept, rho)
+        else:
+            merged = _Factor(kept, block(0, 0) + block(1, 1))
+        self.factors = rest + [merged]
 
     def drop_empty(self) -> None:
         self.factors = [f for f in self.factors if f.k > 0]
@@ -242,6 +288,7 @@ class _Engine:
     def final_state(self) -> np.ndarray:
         if not self.factors:
             return np.ones((1, 1), dtype=complex)
+        self._check_width(sum(f.k for f in self.factors))
         merged = self.factors[0]
         for f in self.factors[1:]:
             merged = merged.merge(f)
@@ -251,25 +298,6 @@ class _Engine:
         rho = np.transpose(merged.rho, perm)
         dim = 2**k
         return rho.reshape(dim, dim)
-
-
-def _multi_target_perm(g: Gate) -> np.ndarray:
-    """Basis permutation of the gate block (control bit is the block MSB)."""
-    n_t = g.n_targets
-    width = 1 + 2 * n_t
-    dim = 2**width
-    ctrl_mask = 1 << (width - 1)
-    out = np.empty(dim, dtype=np.int64)
-    for i in range(dim):
-        j = i
-        if i & ctrl_mask:
-            for idx in range(n_t):
-                sa = width - 2 - idx
-                sb = width - 2 - n_t - idx
-                if ((j >> sa) & 1) != ((j >> sb) & 1):
-                    j ^= (1 << sa) | (1 << sb)
-        out[i] = j
-    return out
 
 
 def run(
@@ -319,6 +347,8 @@ def run(
             eng.drop_empty()
             continue
         eng.materialize(g.qubits, states, input_lookup)
+        # qubits whose last gate this is and that a TRACE_OUT discards
+        done = {q for q in g.qubits if q in traced_later and last_touch.get(q) == i}
         if g.kind == "POSTSELECT":
             f = eng.factor_for(g.qubits)
             eng.success_prob *= f.postselect(g.qubits[0], g.outcome)
@@ -333,13 +363,13 @@ def run(
                 raise SimulationError(f"missing matrix for block {g.matrix_id!r}")
             eng.factor_for(g.qubits).apply_matrix(mat, g.qubits)
         elif g.kind == "MULTI_TARGET_CSWAP":
-            eng.factor_for(g.qubits).apply_permutation(_multi_target_perm(g), g.qubits)
+            eng.controlled_swap(g, done)
         else:
             raise SimulationError(f"cannot simulate gate kind {g.kind!r}")
         # eager reduction: discard qubits whose last gate just ran
         live = eng.live_wires()
         for q in g.qubits:
-            if q in traced_later and last_touch.get(q) == i and q in live:
+            if q in done and q in live:
                 eng.factor_for((q,)).trace_out(q)
         eng.drop_empty()
 

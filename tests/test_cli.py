@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from oqsynth.channel import (
     random_kraus_set,
     validate_cptp,
 )
+from oqsynth import simulator
 from oqsynth.cli import main
 from oqsynth.circuit import parse_circuit, parse_sidecar
 
@@ -245,3 +250,44 @@ class TestCost:
 
     def test_sweep_rejects_stinespring(self):
         assert main(["cost", "--n", "1", "--m", "4", "--method", "stinespring", "--sweep-groups"]) == 2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_simulate_out_of_memory_is_one_line(tmp_path):
+    # n=2, m=16, l=4 fanout needs a 15-qubit (16 GiB) density; under a 2 GiB
+    # address-space limit that allocation fails, and the CLI must say so in
+    # one line with exit code 1
+    kpath = write_kraus(tmp_path / "k.json", random_kraus_set(2, 16, seed=1))
+    spath = write_state(tmp_path / "s.json", 2, "pure", [[0.5, 0.0]] * 4)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from oqsynth.cli import console_main\n"
+        "console_main()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["simulate", kpath, spath, "--method", "svd", "--group", "4", "--mode", "fanout"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_simulation_error_exits_semantic(tmp_path, capsys, monkeypatch):
+    def zero_branch(*args, **kwargs):
+        raise simulator.ZeroProbabilityBranch("post-selecting qubit 2 on 0 has probability 0")
+
+    monkeypatch.setattr(simulator, "run", zero_branch)
+    kpath = write_kraus(tmp_path / "k.json", identity_set())
+    spath = write_state(tmp_path / "s.json", 1, "pure", [[1.0, 0.0], [0.0, 0.0]])
+    assert main(["simulate", kpath, spath, "--method", "sznagy"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: post-selecting qubit 2 on 0 has probability 0\n"

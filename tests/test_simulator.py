@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,11 @@ from oqsynth.simulator import (
     verify_equivalence,
 )
 
+from oqsynth.circuit import multi_target_cswap_gate, ry
+from oqsynth.simulator import SimulationError
+
 from test_circuit import gate_matrix  # independent dense embedding oracle
+from test_circuit import sequence_matrix  # independent dense unitary of a gate list
 
 
 def random_density(rng, dim):
@@ -358,3 +364,146 @@ class TestDensityMatrixType:
 
         with pytest.raises(SimulationError):
             DensityMatrix.from_matrix(2 * np.eye(2)).validate()
+
+
+# --- fused controlled swap: engine against the dense oracle --------------------
+
+
+def joint_density(regs, states, num_qubits):
+    """Dense state of independent registers; unlisted qubits start in |0>."""
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    listed = {q for reg in regs for q in reg}
+    regs = list(regs) + [(q,) for q in range(num_qubits) if q not in listed]
+    states = list(states) + [zero] * (len(regs) - len(states))
+    wires, rho = [], np.ones((1, 1), dtype=complex)
+    for reg, s in zip(regs, states):
+        wires += list(reversed(reg))  # a register's highest qubit is its MSB
+        rho = np.kron(rho, s)
+    order = [wires.index(q) for q in reversed(range(num_qubits))]
+    t = rho.reshape((2,) * (2 * num_qubits))
+    t = t.transpose(order + [num_qubits + i for i in order])
+    return t.reshape(2**num_qubits, 2**num_qubits)
+
+
+def dense_run(gates, traced, regs, states, num_qubits):
+    """``U rho U^dag`` on the joint input, then the traced qubits summed out."""
+    u = sequence_matrix(gates, num_qubits)
+    rho = u @ joint_density(regs, states, num_qubits) @ dagger(u)
+    keep = {num_qubits - 1 - q for q in range(num_qubits) if q not in traced}
+    return partial_trace(rho, [2] * num_qubits, keep)
+
+
+FUSED_CASES = {
+    # name: (input registers, gates before the trace, traced qubits)
+    "one-pair-control-traced": (
+        [(0, 1, 2), (3, 4, 5)],
+        [h(6), multi_target_cswap_gate(6, [(0, 3)])],
+        (6,),
+    ),
+    "two-pairs-control-kept-ry": (
+        [(0, 1, 2), (3, 4, 5)],
+        [ry(6, 1.1), multi_target_cswap_gate(6, [(0, 3), (2, 5)])],
+        (),
+    ),
+    "three-pairs-register-traced": (
+        [(0, 1, 2), (3, 4, 5)],
+        [ry(6, 0.4), multi_target_cswap_gate(6, [(0, 3), (1, 4), (2, 5)])],
+        (3, 4, 5, 6),
+    ),
+    "interleaved-pairs-across-factors": (
+        [(0, 2, 4), (1, 3, 5)],
+        [h(6), multi_target_cswap_gate(6, [(0, 3), (1, 4), (5, 2)])],
+        (1, 3, 5, 6),
+    ),
+    "control-inside-a-register": (
+        [(0, 1, 2, 3), (4, 5, 6)],
+        [h(3), multi_target_cswap_gate(3, [(0, 4), (1, 5)])],
+        (3, 4, 5, 6),
+    ),
+    "targets-used-after-the-swap": (
+        [(0, 1, 2), (3, 4, 5)],
+        [
+            ry(6, 2.0),
+            multi_target_cswap_gate(6, [(0, 3), (1, 4)]),
+            h(0),
+            cnot(4, 1),
+        ],
+        (4, 5, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+@pytest.mark.parametrize("pure", [False, True])
+def test_fused_cswap_matches_dense_oracle(name, pure):
+    regs, gates, traced = FUSED_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)) + pure)
+    make = haar_density if pure else random_density
+    states = [make(rng, 2 ** len(reg)) for reg in regs]
+    num_qubits = 7
+    c = circuit_of(gates + ([trace_out(traced)] if traced else []), num_qubits, inputs=regs)
+    got, p = run(c, states)
+    want = dense_run(gates, set(traced), regs, states, num_qubits)
+    assert p == 1.0
+    assert max_abs(got.matrix - want) <= 1e-12
+
+
+def test_fused_cswap_output_width_is_checked_first():
+    # kept control plus two kept registers: 7 output qubits over a limit of 6
+    regs, gates, _ = FUSED_CASES["two-pairs-control-kept-ry"]
+    c = circuit_of(gates, 7, inputs=regs)
+    rng = np.random.default_rng(40)
+    with pytest.raises(SimulationError, match="6 live qubits"):
+        run(c, [random_density(rng, 8), random_density(rng, 8)], max_qubits=6)
+
+
+def test_fused_cswap_einsum_label_limit():
+    # ten 3-qubit registers, every target wire in its own register: 30 kept
+    # wires need 60 einsum labels, over numpy's 52
+    regs = [tuple(range(3 * i, 3 * i + 3)) for i in range(10)]
+    pairs = [(3 * i, 3 * (i + 5)) for i in range(5)]
+    c = circuit_of([h(30), multi_target_cswap_gate(30, pairs)], 31, inputs=regs)
+    rho = np.eye(8, dtype=complex) / 8
+    with pytest.raises(SimulationError, match="einsum labels"):
+        run(c, rho, max_qubits=64)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,m,l", [(3, 8, 4), (3, 16, 8)])
+@pytest.mark.parametrize("method", ["sznagy", "svd"])
+def test_wide_shared_mixers_verify_in_small_memory(n, m, l, method):
+    # the dense merge built 2q+1 = 13 and 15 qubit factors for these shapes
+    k = random_kraus_set(n, m, seed=41)
+    reports = []
+    peak = traced_peak(
+        lambda: reports.append(verify_equivalence(k, method, group_size=l, trials=2, seed=8))
+    )
+    assert reports[0].worst_residual <= 1e-12
+    assert peak < 16 << 20
+
+
+def test_width_checked_before_merging():
+    # n=2, m=16, l=4 fanout merges a 5- and a 10-qubit factor into 15 qubits,
+    # a 16 GiB density; the check has to fire before that kron
+    k = random_kraus_set(2, 16, seed=42)
+    c = assemble_simulation_circuit(k, "svd", group_size=4, mode="fanout")
+    rho = np.eye(4, dtype=complex) / 4
+    errors = []
+
+    def attempt():
+        try:
+            run(c, rho, max_qubits=14)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    peak = traced_peak(attempt)
+    assert errors and "14 live qubits" in str(errors[0])
+    assert peak < 64 << 20
