@@ -58,8 +58,6 @@ def _load_state(path: str) -> np.ndarray:
             psi = pairs_to_matrix([raw])[0]  # one row of amplitudes
             if psi.shape != (2**n,):
                 raise _InputError(f"pure state needs {2**n} amplitudes")
-            if not 0 < np.linalg.norm(psi) < np.inf:
-                raise _InputError("pure state amplitudes need a finite, non-zero norm")
             return simulator.DensityMatrix.from_pure(psi).matrix
         if kind == "density":
             m = pairs_to_matrix(raw)

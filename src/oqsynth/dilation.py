@@ -46,7 +46,7 @@ class DilationArtifact:
 
     - ``stinespring``: ``isometry`` (m'd x d) and, when requested, its
       ``unitary`` completion;
-    - ``sznagy``: ``unitary`` (2d x 2d) plus the ``defect`` blocks;
+    - ``sznagy``: ``unitary`` (2d x 2d);
     - ``svd``: ``u``, ``vdag`` (d x d) and the diagonal ``u_sigma`` (2d x 2d).
     """
 
@@ -130,7 +130,7 @@ def sznagy_unitary(
         raise DilationError("defect-operator dilation failed the unitarity check")
     return DilationArtifact(
         kind="sznagy",
-        matrices={"unitary": u, "defect": defect, "defect_dagger": defect_dagger},
+        matrices={"unitary": u},
         ancilla_qubits=1,
         source_index=source_index,
     )

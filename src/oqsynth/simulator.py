@@ -3,12 +3,14 @@
 The engine applies gates in order as ``U rho U^dag``, projects and
 renormalizes on POSTSELECT (recording the branch probability), and reduces
 on TRACE_OUT. The state is kept as a product of independent density
-factors: qubits materialize lazily on first use as fresh factors, factors
-merge only when a gate spans them, and traced qubits leave their factor
-immediately. A MULTI_TARGET_CSWAP is contracted straight from the factor
-tensors it touches, together with the trace of every wire whose last gate
-it is, so a mixing tree over many branch registers never builds more than
-the surviving register (never the two registers plus their control).
+factors: each input register is one factor from the start, any other qubit
+joins as a fresh |0> factor when a gate first touches it, and factors merge
+only when a gate spans them. Every qubit a TRACE_OUT discards leaves once,
+right after its last gate (or at the TRACE_OUT when no gate touches it). A
+MULTI_TARGET_CSWAP is contracted straight from the factor tensors it
+touches, together with the trace of the wires that leave after it, so a
+mixing tree over many branch registers never builds more than the
+surviving register (never the two registers plus their control).
 
 Global basis convention: qubit 0 is the least significant bit.
 """
@@ -45,24 +47,26 @@ class EquivalenceFailure(SimulationError):
 
 
 _T = np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_FIXED = {"H": HADAMARD, "T": _T, "TDG": _T.conj().T, "CNOT": _CNOT}
+_ZERO = np.diag([1.0, 0.0]).astype(complex)
 
 
-def _single_qubit_matrix(g: Gate) -> np.ndarray:
-    if g.kind == "H":
-        return HADAMARD
-    if g.kind == "T":
-        return _T
-    if g.kind == "TDG":
-        return _T.conj().T
+def _gate_matrix(g: Gate, circuit: Circuit) -> np.ndarray:
+    """Matrix of a unitary gate over ``g.qubits`` (most significant first)."""
+    if g.kind in _FIXED:
+        return _FIXED[g.kind]
     if g.kind == "RZ":
         return np.diag([np.exp(-0.5j * g.theta), np.exp(0.5j * g.theta)])
     if g.kind == "RY":
         c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    raise SimulationError(f"not a single-qubit gate: {g.kind}")
+    if g.kind == "OPAQUE_UNITARY":
+        try:
+            return circuit.matrices[g.matrix_id]
+        except KeyError:
+            raise SimulationError(f"missing matrix for block {g.matrix_id!r}") from None
+    raise SimulationError(f"cannot simulate gate kind {g.kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +78,15 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
+        """Normalized ``|psi><psi|``; a zero or non-finite norm raises ValueError."""
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         n = int(math.log2(len(psi)))
         if 2**n != len(psi):
             raise DimensionMismatchError("amplitude count must be a power of two")
-        psi = psi / np.linalg.norm(psi)
+        norm = np.linalg.norm(psi)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"pure state has norm {norm}; it needs a finite, non-zero norm")
+        psi = psi / norm
         return cls(matrix=np.outer(psi, psi.conj()), num_qubits=n)
 
     @classmethod
@@ -99,13 +107,11 @@ class DensityMatrix:
         return self
 
 
-def _coerce_state(state, expected_qubits: int | None = None) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        m = state.matrix
-    else:
-        arr = np.asarray(state, dtype=complex)
-        m = np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
-    if expected_qubits is not None and m.shape != (2**expected_qubits,) * 2:
+def _coerce_state(state, expected_qubits: int) -> np.ndarray:
+    m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
+    if m.ndim == 1:
+        m = DensityMatrix.from_pure(m).matrix
+    if m.shape != (2**expected_qubits,) * 2:
         raise DimensionMismatchError(
             f"input state has shape {m.shape}, expected dimension {2**expected_qubits}"
         )
@@ -177,38 +183,28 @@ class _Factor:
 class _Engine:
     """Product of independent factors plus post-selection bookkeeping."""
 
-    def __init__(self, max_qubits: int):
+    def __init__(self, factors: list[_Factor], max_qubits: int):
         self.max_qubits = max_qubits
-        self.factors: list[_Factor] = []
+        self.factors = factors
         self.success_prob = 1.0
 
-    def live_wires(self) -> set[int]:
-        return {q for f in self.factors for q in f.wires}
-
-    def materialize(self, qubits, states: dict, input_lookup: dict) -> None:
-        live = self.live_wires()
-        for q in qubits:
-            if q in live:
-                continue
-            if q in input_lookup:
-                reg = input_lookup[q]
-                wires = [w for w in reversed(reg)]  # ascending register = LSB last
-                self.factors.append(_Factor(wires, states[reg]))
-                live.update(reg)
-            else:
-                zero = np.zeros((2, 2), dtype=complex)
-                zero[0, 0] = 1.0
-                self.factors.append(_Factor([q], zero))
-                live.add(q)
-
     def _split(self, qubits) -> tuple[list[_Factor], list[_Factor]]:
-        """Factors holding any of the qubits, and the rest."""
-        touching, rest = [], []
-        qset = set(qubits)
-        for f in self.factors:
-            (touching if qset & set(f.wires) else rest).append(f)
-        if not touching:
-            raise SimulationError(f"qubits {qubits} are not live")
+        """Factors holding any of the qubits, and the rest.
+
+        The touching factors come in the order of their first wire in
+        ``qubits``, so a merge keeps the gate's wires close to its order and
+        the axis moves of the gate apply stay small. A qubit no factor holds
+        joins as a fresh |0> factor.
+        """
+        touching, rest = [], list(self.factors)
+        for q in qubits:
+            if not any(q in f.wires for f in touching):
+                f = next((f for f in rest if q in f.wires), None)
+                if f is None:
+                    f = _Factor([q], _ZERO)
+                else:
+                    rest.remove(f)
+                touching.append(f)
         return touching, rest
 
     def _check_width(self, k: int) -> None:
@@ -220,12 +216,22 @@ class _Engine:
     def factor_for(self, qubits) -> _Factor:
         """Factor containing all the qubits, merging factors as needed."""
         touching, rest = self._split(qubits)
+        if not touching:
+            raise SimulationError("a gate needs at least one qubit")
         self._check_width(sum(f.k for f in touching))
         merged = touching[0]
         for f in touching[1:]:
             merged = merged.merge(f)
         self.factors = rest + [merged]
         return merged
+
+    def trace_out(self, wires) -> None:
+        """Trace the wires out of their factors; drop factors left with none."""
+        touching, rest = self._split(wires)
+        for f in touching:
+            for q in set(wires).intersection(f.wires):
+                f.trace_out(q)
+        self.factors = rest + [f for f in touching if f.k]
 
     def controlled_swap(self, g: Gate, traced: set[int]) -> None:
         """Apply a MULTI_TARGET_CSWAP and trace out the ``traced`` gate wires.
@@ -282,22 +288,15 @@ class _Engine:
             merged = _Factor(kept, block(0, 0) + block(1, 1))
         self.factors = rest + [merged]
 
-    def drop_empty(self) -> None:
-        self.factors = [f for f in self.factors if f.k > 0]
-
     def final_state(self) -> np.ndarray:
-        if not self.factors:
+        wires = sorted((w for f in self.factors for w in f.wires), reverse=True)
+        if not wires:
             return np.ones((1, 1), dtype=complex)
-        self._check_width(sum(f.k for f in self.factors))
-        merged = self.factors[0]
-        for f in self.factors[1:]:
-            merged = merged.merge(f)
-        order = np.argsort(merged.wires)[::-1]  # descending id = MSB first
+        merged = self.factor_for(wires)
+        order = [merged.wires.index(w) for w in wires]  # descending id = MSB first
         k = merged.k
-        perm = [int(i) for i in order] + [k + int(i) for i in order]
-        rho = np.transpose(merged.rho, perm)
-        dim = 2**k
-        return rho.reshape(dim, dim)
+        rho = np.transpose(merged.rho, order + [k + i for i in order])
+        return rho.reshape(2**k, 2**k)
 
 
 def run(
@@ -308,78 +307,53 @@ def run(
 ) -> tuple[DensityMatrix, float]:
     """Execute a circuit on the given input state(s).
 
-    ``rho_in`` is a density matrix, pure-state amplitude vector, or
-    :class:`DensityMatrix` broadcast to every input register of the
-    circuit; a sequence of such states assigns them register by register.
-    Returns the reduced state over the surviving qubits (ascending index)
-    and the product of post-selection probabilities (1.0 when there are
-    none).
+    ``rho_in`` is a density matrix, pure-state amplitude vector (normalized
+    here), or :class:`DensityMatrix` broadcast to every input register of
+    the circuit; a sequence of such states assigns them register by
+    register. TRACE_OUT is terminal: a gate on a qubit after its TRACE_OUT
+    raises :class:`SimulationError`. Returns the reduced state over the
+    surviving qubits (ascending index) and the product of post-selection
+    probabilities (1.0 when there are none).
     """
     regs = circuit.input_registers
-    if isinstance(rho_in, (list, tuple)):
-        if len(rho_in) != len(regs):
-            raise DimensionMismatchError(
-                f"{len(rho_in)} input states for {len(regs)} input registers"
-            )
-        states = {reg: _coerce_state(s, len(reg)) for reg, s in zip(regs, rho_in)}
-    else:
-        states = {reg: _coerce_state(rho_in, len(reg)) for reg in regs}
-    input_lookup = {q: reg for reg in regs for q in reg}
+    states = rho_in if isinstance(rho_in, (list, tuple)) else [rho_in] * len(regs)
+    if len(states) != len(regs):
+        raise DimensionMismatchError(
+            f"{len(states)} input states for {len(regs)} input registers"
+        )
+    if len({q for reg in regs for q in reg}) != sum(map(len, regs)):
+        raise SimulationError(f"input registers {regs} overlap")
+    # a register's highest qubit is its most significant bit
+    inputs = [
+        _Factor(list(reversed(reg)), _coerce_state(s, len(reg)))
+        for reg, s in zip(regs, states)
+    ]
 
-    # last position at which each qubit is touched by a non-marker gate,
-    # and the set of qubits some TRACE_OUT will eventually discard
-    last_touch: dict[int, int] = {}
-    traced_later: set[int] = set()
+    # each qubit a TRACE_OUT discards leaves after its last gate, or at the
+    # TRACE_OUT itself when no gate touches it
+    retire: dict[int, int] = {}
+    last: dict[int, int] = {}
     for i, g in enumerate(circuit.gates):
         if g.kind == "TRACE_OUT":
-            traced_later.update(g.qubits)
+            for q in g.qubits:
+                retire.setdefault(q, last.get(q, i))
+        elif retire.keys() & set(g.qubits):
+            raise SimulationError(f"{g.kind} on {g.qubits} after a TRACE_OUT of its qubits")
         else:
-            for q in g.qubits:
-                last_touch[q] = i
+            last.update(dict.fromkeys(g.qubits, i))
 
-    eng = _Engine(max_qubits=max_qubits)
+    eng = _Engine(inputs, max_qubits)
     for i, g in enumerate(circuit.gates):
-        if g.kind == "TRACE_OUT":
-            live = eng.live_wires()
-            for q in g.qubits:
-                if q in live:
-                    eng.factor_for((q,)).trace_out(q)
-            eng.drop_empty()
+        leaving = {q for q in g.qubits if retire.get(q) == i}
+        if g.kind == "MULTI_TARGET_CSWAP":
+            eng.controlled_swap(g, leaving)
             continue
-        eng.materialize(g.qubits, states, input_lookup)
-        # qubits whose last gate this is and that a TRACE_OUT discards
-        done = {q for q in g.qubits if q in traced_later and last_touch.get(q) == i}
         if g.kind == "POSTSELECT":
             f = eng.factor_for(g.qubits)
             eng.success_prob *= f.postselect(g.qubits[0], g.outcome)
-        elif g.kind == "CNOT":
-            eng.factor_for(g.qubits).apply_matrix(_CNOT, g.qubits)
-        elif g.kind in ("H", "T", "TDG", "RZ", "RY"):
-            eng.factor_for(g.qubits).apply_matrix(_single_qubit_matrix(g), g.qubits)
-        elif g.kind == "OPAQUE_UNITARY":
-            try:
-                mat = circuit.matrices[g.matrix_id]
-            except KeyError:
-                raise SimulationError(f"missing matrix for block {g.matrix_id!r}")
-            eng.factor_for(g.qubits).apply_matrix(mat, g.qubits)
-        elif g.kind == "MULTI_TARGET_CSWAP":
-            eng.controlled_swap(g, done)
-        else:
-            raise SimulationError(f"cannot simulate gate kind {g.kind!r}")
-        # eager reduction: discard qubits whose last gate just ran
-        live = eng.live_wires()
-        for q in g.qubits:
-            if q in done and q in live:
-                eng.factor_for((q,)).trace_out(q)
-        eng.drop_empty()
-
-    # untouched input registers (e.g. the empty circuit) pass through
-    live = eng.live_wires()
-    for reg in regs:
-        if any(q in live or q in traced_later or q in last_touch for q in reg):
-            continue
-        eng.factors.append(_Factor([w for w in reversed(reg)], states[reg]))
-        live.update(reg)
+        elif g.kind != "TRACE_OUT":
+            eng.factor_for(g.qubits).apply_matrix(_gate_matrix(g, circuit), g.qubits)
+        eng.trace_out(leaving)
 
     out = eng.final_state()
     return DensityMatrix.from_matrix(out), eng.success_prob

@@ -94,7 +94,7 @@ class TestSzNagy:
     def test_scaled_identity_defects(self):
         m = np.sqrt(0.5) * np.eye(2, dtype=complex)
         art = sznagy_unitary(m)
-        assert max_abs(art.matrices["defect"] - np.sqrt(0.5) * np.eye(2)) <= 1e-12
+        assert max_abs(art.matrices["unitary"][2:, :2] - np.sqrt(0.5) * np.eye(2)) <= 1e-12
         assert is_unitary(art.matrices["unitary"], 1e-12)
 
     def test_top_left_block_and_column_zero(self):
@@ -104,7 +104,6 @@ class TestSzNagy:
             u = art.matrices["unitary"]
             assert is_unitary(u, 1e-9)
             assert max_abs(u[:4, :4] - m) <= 1e-12
-            assert max_abs(u[4:, :4] - art.matrices["defect"]) <= 1e-12
             assert art.source_index == idx
 
     def test_success_probability(self):
@@ -130,7 +129,7 @@ class TestSzNagy:
         for m in k.operators:
             art = sznagy_unitary(m)
             want = psd_sqrt(np.eye(2) - dagger(m) @ m, tol=1e-9)
-            assert max_abs(art.matrices["defect"] - want) <= 1e-9
+            assert max_abs(art.matrices["unitary"][2:, :2] - want) <= 1e-9
 
     def test_degenerate_unit_singular_values(self):
         # fully grouped operator: d-fold degenerate unit singular values

@@ -32,7 +32,7 @@ from oqsynth.simulator import (
     verify_equivalence,
 )
 
-from oqsynth.circuit import multi_target_cswap_gate, ry
+from oqsynth.circuit import Gate, multi_target_cswap_gate, ry
 from oqsynth.simulator import SimulationError
 
 from test_circuit import gate_matrix  # independent dense embedding oracle
@@ -507,3 +507,59 @@ def test_width_checked_before_merging():
     peak = traced_peak(attempt)
     assert errors and "14 live qubits" in str(errors[0])
     assert peak < 64 << 20
+
+
+# --- one wire lifecycle: inputs are factors from the start -------------------
+
+
+def test_partial_trace_of_untouched_register_keeps_the_marginal():
+    rng = np.random.default_rng(50)
+    rho = random_density(rng, 4)
+    c = circuit_of([trace_out((1,))], 2, inputs=[(0, 1)])
+    out, p = run(c, rho)
+    assert p == 1.0
+    # qubit 1 is the register's MSB; the LSB block survives
+    assert max_abs(out.matrix - partial_trace(rho, [2, 2], keep={1})) <= 1e-15
+
+
+def test_gate_after_trace_out_is_rejected():
+    c = circuit_of([cnot(0, 1), trace_out((1,)), h(1)], 2, inputs=[(0,), (1,)])
+    with pytest.raises(SimulationError, match="TRACE_OUT"):
+        run(c, np.eye(2, dtype=complex) / 2)
+
+
+def test_untouched_register_passes_through_beside_a_touched_one():
+    rng = np.random.default_rng(51)
+    r0, r1 = random_density(rng, 2), random_density(rng, 4)
+    c = circuit_of([h(0)], 3, inputs=[(0,), (1, 2)])
+    out, _ = run(c, [r0, r1])
+    hd = gate_matrix(h(0), 1)
+    assert max_abs(out.matrix - kron(r1, hd @ r0 @ dagger(hd))) <= 1e-15
+
+
+def test_overlapping_input_registers_are_rejected():
+    c = circuit_of([h(0)], 3, inputs=[(0, 1), (1, 2)])
+    with pytest.raises(SimulationError, match="overlap"):
+        run(c, np.eye(4, dtype=complex) / 4)
+
+
+def test_gate_on_no_qubits_is_rejected():
+    c = circuit_of([Gate("H", ())], 1, inputs=[(0,)])
+    with pytest.raises(SimulationError):
+        run(c, np.eye(2, dtype=complex) / 2)
+
+
+# --- one rule for pure states ---------------------------------------------------
+
+
+def test_unnormalized_pure_input_gives_trace_one():
+    out, _ = run(circuit_of([h(0)], 1, inputs=[(0,)]), np.array([1, 1]))
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
+    assert max_abs(out.matrix - np.diag([1.0, 0.0])) <= 1e-12
+
+
+def test_zero_pure_state_names_the_norm():
+    with pytest.raises(ValueError, match="norm"):
+        DensityMatrix.from_pure([0, 0])
+    with pytest.raises(ValueError, match="norm"):
+        run(circuit_of([h(0)], 1, inputs=[(0,)]), np.array([0.0, np.nan]))
