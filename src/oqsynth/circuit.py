@@ -25,7 +25,7 @@ from . import costmodel
 from .channel import KrausSet, NotPowerOfTwoError, group_kraus, is_power_of_two
 from .costmodel import format_float
 from .dilation import stinespring_isometry, svd_dilation, sznagy_unitary
-from .linalg import matrix_to_pairs, pairs_to_matrix
+from .linalg import pairs_to_matrix
 
 ELEMENTARY = ("H", "T", "TDG", "RZ", "RY", "CNOT")
 MARKERS = ("POSTSELECT", "TRACE_OUT")
@@ -535,57 +535,26 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("CIRCUIT "):
         raise CircuitError("native-text must start with a CIRCUIT header")
-    num_qubits = int(lines[0].split("num_qubits=")[1])
+    try:
+        num_qubits = int(lines[0].split("num_qubits=")[1])
+    except (IndexError, ValueError) as exc:
+        raise CircuitError(f"malformed header {lines[0]!r}: {exc!r}") from exc
     circ = Circuit(num_qubits=num_qubits)
     registers: dict[str, tuple[int, ...]] = {}
     inputs: list[tuple[int, ...]] = []
     for ln in lines[1:]:
         tokens = ln.split()
-        if tokens[0] == "REGISTER":
-            registers[tokens[1]] = tuple(int(s[1:]) for s in tokens[2:])
-            continue
-        if tokens[0] == "INPUT":
-            inputs.append(tuple(int(s[1:]) for s in tokens[1:]))
-            continue
-        if tokens[0] != "GATE":
-            raise CircuitError(f"unrecognized line: {ln}")
-        body, _, note = ln.partition(" # ")
-        tokens = body.split()
-        kind = tokens[1]
-        qubits = []
-        theta = None
-        for tok in tokens[2:]:
-            if tok.startswith("q"):
-                qubits.append(int(tok[1:]))
-            elif tok.startswith("theta="):
-                theta = float(tok.split("=", 1)[1])
-        meta = dict(kv.split("=", 1) for kv in note.split(",")) if note else {}
-        qubits = tuple(qubits)
-        if kind in ("H", "T", "TDG"):
-            circ.add(Gate(kind, qubits))
-        elif kind in ("RZ", "RY"):
-            circ.add(Gate(kind, qubits, theta=theta))
-        elif kind == "CNOT":
-            circ.add(cnot(qubits[0], qubits[1]))
-        elif kind == "OPAQUE_UNITARY":
-            circ.add(
-                opaque_unitary(
-                    qubits,
-                    meta["id"],
-                    depth_weight=float(meta["depth_weight"]),
-                    cnot_weight=float(meta["cnot_weight"]),
-                )
-            )
-        elif kind == "MULTI_TARGET_CSWAP":
-            n_t = int(meta["n_targets"])
-            pairs = list(zip(qubits[1 : 1 + n_t], qubits[1 + n_t :]))
-            circ.add(multi_target_cswap_gate(qubits[0], pairs))
-        elif kind == "POSTSELECT":
-            circ.add(postselect(qubits[0], int(meta["outcome"])))
-        elif kind == "TRACE_OUT":
-            circ.add(trace_out(qubits))
-        else:
-            raise UnsupportedGateError(f"unknown gate kind {kind!r}")
+        try:
+            if tokens[0] == "REGISTER":
+                registers[tokens[1]] = tuple(int(s[1:]) for s in tokens[2:])
+            elif tokens[0] == "INPUT":
+                inputs.append(tuple(int(s[1:]) for s in tokens[1:]))
+            elif tokens[0] == "GATE":
+                circ.add(_parse_gate(ln))
+            else:
+                raise CircuitError(f"unrecognized line: {ln}")
+        except (IndexError, KeyError, ValueError) as exc:
+            raise CircuitError(f"malformed line {ln!r}: {exc!r}") from exc
     circ.registers = registers
     circ.input_registers = tuple(inputs)
     if matrices:
@@ -593,10 +562,88 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
     return circ
 
 
+_FIXED_ARITY = {"H": 1, "T": 1, "TDG": 1, "RZ": 1, "RY": 1, "CNOT": 2, "POSTSELECT": 1}
+
+
+def _parse_gate(ln: str) -> Gate:
+    """One GATE line. A wrong qubit count raises CircuitError; a missing or
+    non-numeric field raises IndexError, KeyError or ValueError, which
+    :func:`parse_circuit` reports as CircuitError with the line."""
+    body, _, note = ln.partition(" # ")
+    tokens = body.split()
+    kind = tokens[1]
+    qubits = []
+    theta = None
+    for tok in tokens[2:]:
+        if tok.startswith("q"):
+            qubits.append(int(tok[1:]))
+        elif tok.startswith("theta="):
+            theta = float(tok.split("=", 1)[1])
+    meta = dict(kv.split("=", 1) for kv in note.split(",")) if note else {}
+    qubits = tuple(qubits)
+    if len(qubits) != _FIXED_ARITY.get(kind, len(qubits)):
+        raise CircuitError(
+            f"malformed line {ln!r}: {kind} takes {_FIXED_ARITY[kind]} qubit(s), got {len(qubits)}"
+        )
+    if kind in ("H", "T", "TDG"):
+        return Gate(kind, qubits)
+    if kind in ("RZ", "RY"):
+        return Gate(kind, qubits, theta=theta)
+    if kind == "CNOT":
+        return cnot(qubits[0], qubits[1])
+    if kind == "OPAQUE_UNITARY":
+        return opaque_unitary(
+            qubits,
+            meta["id"],
+            depth_weight=float(meta["depth_weight"]),
+            cnot_weight=float(meta["cnot_weight"]),
+        )
+    if kind == "MULTI_TARGET_CSWAP":
+        n_t = int(meta["n_targets"])
+        if n_t < 1 or len(qubits) != 1 + 2 * n_t:
+            raise CircuitError(
+                f"malformed line {ln!r}: n_targets={n_t} needs {1 + 2 * n_t} qubits, "
+                f"got {len(qubits)}"
+            )
+        return multi_target_cswap_gate(qubits[0], zip(qubits[1 : 1 + n_t], qubits[1 + n_t :]))
+    if kind == "POSTSELECT":
+        return postselect(qubits[0], int(meta["outcome"]))
+    if kind == "TRACE_OUT":
+        return trace_out(qubits)
+    raise UnsupportedGateError(f"unknown gate kind {kind!r}")
+
+
 def opaque_sidecar(circ: Circuit) -> str:
-    """JSON sidecar mapping matrix ids to [re, im]-pair matrices."""
-    payload = {mid: matrix_to_pairs(mat) for mid, mat in sorted(circ.matrices.items())}
-    return json.dumps(payload, indent=1)
+    """JSON sidecar mapping matrix ids to [re, im]-pair matrices.
+
+    Byte contract: identical to ``json.dumps(payload, indent=1)`` of the
+    payload ``{mid: matrix_to_pairs(m)}`` in sorted id order; finite,
+    non-empty 2-D matrices only. Anything else raises CircuitError before
+    a byte is written (json would write ``NaN``, which :func:`parse_sidecar`
+    rejects, and ``[]``, which the template cannot reproduce).
+
+    Each shape gets one ``%``-template laid out as json's indent=1 form.
+    ``%r`` of a float is ``float.__repr__``, the text json writes for a
+    finite float, so the only per-entry work is that shortest-round-trip
+    ``repr`` (json's indented encoder runs a Python generator per value).
+    """
+    templates: dict[tuple[int, int], str] = {}
+    entries = []
+    for mid, mat in sorted(circ.matrices.items()):
+        a = np.asarray(mat)
+        if a.ndim != 2 or 0 in a.shape:
+            raise CircuitError(
+                f"matrix {mid!r} has shape {a.shape}; the sidecar holds non-empty 2-D matrices"
+            )
+        if not np.isfinite(a).all():
+            raise CircuitError(f"matrix {mid!r} has a non-finite entry")
+        if a.shape not in templates:
+            r, c = a.shape
+            row = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * c) + "\n  ]"
+            templates[a.shape] = "[\n" + ",\n".join([row] * r) + "\n ]"
+        values = np.stack([a.real, a.imag], -1).ravel().tolist()
+        entries.append(f" {json.dumps(mid)}: " + templates[a.shape] % tuple(values))
+    return "{\n" + ",\n".join(entries) + "\n}" if entries else "{}"
 
 
 def parse_sidecar(text: str) -> dict[str, np.ndarray]:

@@ -122,9 +122,11 @@ def cmd_synth(args) -> int:
         group_size=args.group if args.method != "stinespring" else 1,
         mode=args.mode,
     )
+    # encode the sidecar first: a matrix it refuses leaves no artefact behind
+    sidecar = circuit.opaque_sidecar(circ) if args.matrices else None
     _write_text(args.out, circuit.export_circuit(circ, fmt=args.format))
-    if args.matrices:
-        _write_text(args.matrices, circuit.opaque_sidecar(circ))
+    if sidecar is not None:
+        _write_text(args.matrices, sidecar)
     if args.metrics:
         _write_text(args.metrics, json.dumps(report.to_dict(), indent=1) + "\n")
     print(

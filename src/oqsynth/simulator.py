@@ -412,7 +412,7 @@ def verify_equivalence(
     for trial in range(trials):
         if trial % 2 == 0:
             psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            rho = np.outer(psi, psi.conj()) / np.linalg.norm(psi) ** 2
+            rho = DensityMatrix.from_pure(psi).matrix
         else:
             g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
             rho = g @ dagger(g)

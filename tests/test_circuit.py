@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oqsynth import costmodel
 from oqsynth.channel import NotPowerOfTwoError, random_kraus_set, validate_cptp
@@ -28,6 +31,7 @@ from oqsynth.circuit import (
     t,
     trace_out,
 )
+from oqsynth.linalg import matrix_to_pairs
 from oqsynth.linalg import max_abs
 
 # --- independent dense oracle for small gate lists ---------------------------
@@ -369,3 +373,87 @@ class TestSerialization:
         c = assemble_simulation_circuit(k, "stinespring")
         text = export_circuit(c, fmt="qasm-elementary")
         assert "opaque stinespring_unitary" in text
+
+
+# --- sidecar byte contract ---------------------------------------------------
+
+
+def reference_sidecar(matrices) -> str:
+    """The sidecar as json's indented encoder writes it."""
+    payload = {mid: matrix_to_pairs(m) for mid, m in sorted(matrices.items())}
+    return json.dumps(payload, indent=1)
+
+
+def sidecar_of(matrices) -> str:
+    return opaque_sidecar(Circuit(num_qubits=1, matrices=dict(matrices)))
+
+
+FINITE_MATRICES = hnp.arrays(
+    np.complex128,
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.text(max_size=6), FINITE_MATRICES, max_size=3))
+def test_sidecar_bytes_equal_json_indent_1(matrices):
+    assert sidecar_of(matrices) == reference_sidecar(matrices)
+
+
+def test_sidecar_edge_values():
+    edge = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 1.0, 0.1 + 0.2, -1e-300]
+    wide = np.array([edge, edge[::-1]], dtype=complex)  # 2 x 8
+    wide.imag = wide.real[::-1]  # set in place: arithmetic would turn -0.0 into 0.0
+    matrices = {
+        'quote"id': np.array([[complex(-0.0, 5e-324)]]),
+        "grün→ψ": wide,
+        "": np.array([[0.1 + 0.2j]]),
+    }
+    text = sidecar_of(matrices)
+    assert text == reference_sidecar(matrices)
+    assert '"quote\\"id"' in text and '"gr\\u00fcn\\u2192\\u03c8"' in text
+    for token in ("-0.0", "5e-324", "1e-05", "1e+16", "1e+22", "0.30000000000000004"):
+        assert f"    {token}" in text
+    back = parse_sidecar(text)
+    for mid, m in matrices.items():
+        assert back[mid].tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+
+def test_sidecar_of_no_matrices():
+    assert sidecar_of({}) == "{}" == json.dumps({}, indent=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_sidecar_rejects_non_finite(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(CircuitError, match="non-finite"):
+        sidecar_of({"m": m})
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (0, 2), (2, 0), (0, 0), (2, 2, 1)], ids=str)
+def test_sidecar_rejects_non_matrix_shapes(shape):
+    with pytest.raises(CircuitError, match="non-empty 2-D"):
+        sidecar_of({"m": np.ones(shape, dtype=complex)})
+
+
+# --- malformed native text ---------------------------------------------------
+
+MALFORMED_NATIVE = [
+    "CIRCUIT num_qubits=4\nGATE MULTI_TARGET_CSWAP # n_targets=1",
+    "CIRCUIT num_qubits=4\nGATE CNOT q0",
+    "CIRCUIT num_qubits=4\nGATE POSTSELECT q0",
+    "CIRCUIT num_qubits=4\nGATE OPAQUE_UNITARY q0 # id=a",
+    "CIRCUIT num_qubits=4\nGATE H qx",
+    "CIRCUIT num_qubits=4\nGATE H q0 q1",
+    "CIRCUIT num_qubits=x",
+    "CIRCUIT num_qubits=4\nGATE",
+    "CIRCUIT num_qubits=4\nGATE MULTI_TARGET_CSWAP q0 q1 q2 q3 # n_targets=1",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_NATIVE, ids=lambda t: t.splitlines()[-1])
+def test_parse_circuit_malformed_line(text):
+    with pytest.raises(CircuitError):
+        parse_circuit(text)

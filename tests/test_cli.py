@@ -13,7 +13,7 @@ from oqsynth.channel import (
     random_kraus_set,
     validate_cptp,
 )
-from oqsynth import simulator
+from oqsynth import circuit, simulator
 from oqsynth.cli import main
 from oqsynth.circuit import parse_circuit, parse_sidecar
 
@@ -291,3 +291,21 @@ def test_simulation_error_exits_semantic(tmp_path, capsys, monkeypatch):
     assert main(["simulate", kpath, spath, "--method", "sznagy"]) == 1
     err = capsys.readouterr().err
     assert err == "error: post-selecting qubit 2 on 0 has probability 0\n"
+
+
+def test_synth_refuses_non_finite_matrix(tmp_path, capsys, monkeypatch):
+    real = circuit.assemble_simulation_circuit
+
+    def with_nan(*args, **kwargs):
+        circ = real(*args, **kwargs)
+        circ.matrices["branch0_sznagy"][0, 0] = np.nan
+        return circ
+
+    monkeypatch.setattr(circuit, "assemble_simulation_circuit", with_nan)
+    path = write_kraus(tmp_path / "k.json", random_kraus_set(1, 2, seed=3))
+    out, mats = tmp_path / "c.txt", tmp_path / "m.json"
+    rc = main(["synth", path, "--method", "sznagy", "--out", str(out), "--matrices", str(mats)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+    assert not out.exists() and not mats.exists()

@@ -5,6 +5,11 @@ travel in the sidecar), so it is platform-stable. The digests pin the exact
 gate order and ancilla numbering of the CSWAP mixing tree. To inspect a
 mismatch, print ``export_circuit(...)`` for the failing case and diff it
 against the output of a known-good revision.
+
+The sidecar digests pin the matrix codec's exact bytes. They also depend on
+the dilations' LAPACK results, so a mismatch on another numpy/BLAS build
+while the sidecar's json-equality tests in ``test_circuit.py`` pass points
+at the linear algebra, not at the codec.
 """
 
 import hashlib
@@ -12,7 +17,12 @@ import hashlib
 import pytest
 
 from oqsynth.channel import random_kraus_set
-from oqsynth.circuit import assemble_simulation_circuit, build_mixer, export_circuit
+from oqsynth.circuit import (
+    assemble_simulation_circuit,
+    build_mixer,
+    export_circuit,
+    opaque_sidecar,
+)
 
 ASSEMBLED = {
     ("sznagy", 1, "shared"): "330442398fa9f3504d3b62c6cca0ed27d426dd9e08e93bded0607c46065c6f75",
@@ -23,6 +33,14 @@ ASSEMBLED = {
     ("svd", 1, "fanout"): "a88e893ce35929d6d352f2279198040693cbb3a0b325fe635aafabba68774522",
     ("svd", 2, "shared"): "54d4a09f18fce60d4b7cff0e4e24aff5fc90d37f62026c17d6b06bafb2b85f5d",
     ("svd", 2, "fanout"): "2b7956eb9f7453b0b3f1342e52ca5fcc83ab8e708b79139ce1be2439ea85e084",
+}
+
+SIDECARS = {
+    ("stinespring", 1): "e361600f63075d9d5a23b264667068158fc286e982d58507dae12b3d00b52909",
+    ("sznagy", 1): "e61d0d08dbbfb02f8f8649663d2e6febdf6ba6e1bfa887b2e38a5f8cee3f99ab",
+    ("sznagy", 2): "9ef6445e2a9f3b8208904c34415a02f277915de2fbd7d247ab2fbb29183b2f54",
+    ("svd", 1): "01af6e01ac1124d4a2887f7dd19fcc51e045bf7aa7d7f5e5870f8681129466cf",
+    ("svd", 2): "5219ccf4e4eadbd2279ba73acde65b0cfe026669db97c991d6774833dd40c998",
 }
 
 MIXERS = {
@@ -70,3 +88,10 @@ def test_uniform_mixer_native_text(mode):
 def test_weighted_mixer_native_text():
     circ = build_mixer(4, 2, "shared", weights=[1, 3, 2, 2])
     assert export_circuit(circ) == WEIGHTED_MIXER
+
+
+@pytest.mark.parametrize("method,group", sorted(SIDECARS))
+def test_assembled_sidecar(method, group):
+    kset = random_kraus_set(2, 8, seed=11)
+    circ = assemble_simulation_circuit(kset, method, group_size=group)
+    assert digest(opaque_sidecar(circ)) == SIDECARS[(method, group)]
