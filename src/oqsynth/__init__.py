@@ -30,12 +30,7 @@ from .circuit import (
     parse_circuit,
 )
 from .costmodel import CostReport, combined_cost, mixer_cost, sweep_group_sizes
-from .dilation import (
-    DilationArtifact,
-    stinespring_isometry,
-    svd_dilation,
-    sznagy_unitary,
-)
+from .dilation import stinespring_isometry, svd_dilation, sznagy_unitary
 from .simulator import DensityMatrix, run, verify_equivalence
 
 __version__ = "0.1.0"
@@ -62,7 +57,6 @@ __all__ = [
     "combined_cost",
     "mixer_cost",
     "sweep_group_sizes",
-    "DilationArtifact",
     "stinespring_isometry",
     "svd_dilation",
     "sznagy_unitary",

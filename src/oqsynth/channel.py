@@ -18,7 +18,6 @@ from .linalg import (
     DimensionMismatchError,
     NotPSDError,
     dagger,
-    kron,
     matrix_to_pairs,
     max_abs,
     pairs_to_matrix,
@@ -96,12 +95,6 @@ class GroupedKrausSet:
     expanded_dim: int
     operators: tuple[np.ndarray, ...]
     includes_identity_block: bool
-
-    @property
-    def num_branches(self) -> int:
-        """Expanded operators that act nontrivially on the embedded input."""
-        n = len(self.operators)
-        return n - 1 if self.includes_identity_block else n
 
     @property
     def branch_operators(self) -> tuple[np.ndarray, ...]:
@@ -244,7 +237,7 @@ def expand_state(grouped: GroupedKrausSet, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"state shape {rho.shape}, expected {(d, d)}")
     zero = np.zeros((grouped.group_size, grouped.group_size), dtype=complex)
     zero[0, 0] = 1.0
-    return kron(zero, rho)
+    return np.kron(zero, rho)
 
 
 def reduce_state(grouped: GroupedKrausSet, rho_expanded: np.ndarray) -> np.ndarray:
@@ -299,12 +292,12 @@ def fmo_kraus_set(params: FMOParams = FMOParams()) -> KrausSet:
     Operators are returned in index order M_0..M_7.
     """
     for name in ("alpha", "beta", "gamma", "dt"):
-        if getattr(params, name) < 0:
+        if not getattr(params, name) >= 0:
             raise InvalidRatesError(f"{name} must be non-negative")
     a = params.alpha * params.dt
     b = params.beta * params.dt
     g = params.gamma * params.dt
-    if max(a, b, g) > 1.0:
+    if not all(x <= 1.0 for x in (a, b, g)):
         raise InvalidRatesError("rate * dt must stay within [0, 1]")
 
     def ketbra(i: int, j: int, scale: float) -> np.ndarray:
@@ -348,6 +341,8 @@ def fmo_trajectory(
 
     Row 0 holds the initial state; row t the state after t applications.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     kset = fmo_kraus_set(params)
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (8, 8):

@@ -25,7 +25,7 @@ from . import costmodel
 from .channel import KrausSet, NotPowerOfTwoError, group_kraus, is_power_of_two
 from .costmodel import format_float
 from .dilation import stinespring_isometry, svd_dilation, sznagy_unitary
-from .linalg import pairs_to_matrix
+from .linalg import complete_isometry, pairs_to_matrix
 
 ELEMENTARY = ("H", "T", "TDG", "RZ", "RY", "CNOT")
 MARKERS = ("POSTSELECT", "TRACE_OUT")
@@ -176,9 +176,6 @@ class Circuit:
 
     def cnot_count(self) -> float:
         return sum(g.cnot_weight for g in self.gates)
-
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)
 
 
 # --- elementary controlled-SWAP ---------------------------------------------
@@ -381,8 +378,8 @@ def assemble_simulation_circuit(
     m = kset.num_operators
 
     if method == "stinespring":
-        art = stinespring_isometry(kset, complete=True)
-        k = art.ancilla_qubits
+        v = stinespring_isometry(kset)
+        k = int(math.log2(v.shape[0] // kset.dim))
         cost = costmodel.dilation_cost("stinespring", n, m=m)
         system = tuple(range(n))
         env = tuple(range(n, n + k))
@@ -392,7 +389,7 @@ def assemble_simulation_circuit(
             input_registers=(system,),
         )
         mid = "stinespring_unitary"
-        circ.add_matrix(mid, art.matrices["unitary"])
+        circ.add_matrix(mid, complete_isometry(v))
         # qubit listing is MSB-first: environment block index is most significant
         circ.add(
             opaque_unitary(
@@ -432,23 +429,22 @@ def assemble_simulation_circuit(
         circ.registers[f"branch{i}_dilation"] = (dil,)
         expanded = tuple(reversed(grouping)) + tuple(reversed(system))
         if method == "sznagy":
-            art = sznagy_unitary(op, source_index=i)
             mid = f"branch{i}_sznagy"
-            circ.add_matrix(mid, art.matrices["unitary"])
+            circ.add_matrix(mid, sznagy_unitary(op))
             circ.add(
                 opaque_unitary(
                     (dil,) + expanded, mid, depth_weight=cost.depth, cnot_weight=cost.cnot
                 )
             )
         else:
-            art = svd_dilation(op, source_index=i)
+            u, u_sigma, vdag = svd_dilation(op)
             half_cnot, half_depth = costmodel.svd_unitary_block(grouped.expanded_dim)
             mid_v = f"branch{i}_vdag"
             mid_s = f"branch{i}_usigma"
             mid_u = f"branch{i}_u"
-            circ.add_matrix(mid_v, art.matrices["vdag"])
-            circ.add_matrix(mid_s, art.matrices["u_sigma"])
-            circ.add_matrix(mid_u, art.matrices["u"])
+            circ.add_matrix(mid_v, vdag)
+            circ.add_matrix(mid_s, u_sigma)
+            circ.add_matrix(mid_u, u)
             circ.add(
                 opaque_unitary(
                     expanded, mid_v, depth_weight=half_depth, cnot_weight=half_cnot
@@ -531,12 +527,17 @@ def _export_native(circ: Circuit) -> str:
 
 
 def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> Circuit:
-    """Parse native-text back into a Circuit (inverse of the exporter)."""
+    """Parse native-text back into a Circuit (inverse of the exporter).
+
+    Every qubit index must lie in ``[0, num_qubits)`` of the header.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("CIRCUIT "):
         raise CircuitError("native-text must start with a CIRCUIT header")
     try:
         num_qubits = int(lines[0].split("num_qubits=")[1])
+        if num_qubits < 0:
+            raise ValueError("negative qubit count")
     except (IndexError, ValueError) as exc:
         raise CircuitError(f"malformed header {lines[0]!r}: {exc!r}") from exc
     circ = Circuit(num_qubits=num_qubits)
@@ -546,11 +547,11 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
         tokens = ln.split()
         try:
             if tokens[0] == "REGISTER":
-                registers[tokens[1]] = tuple(int(s[1:]) for s in tokens[2:])
+                registers[tokens[1]] = _in_range([int(s[1:]) for s in tokens[2:]], num_qubits)
             elif tokens[0] == "INPUT":
-                inputs.append(tuple(int(s[1:]) for s in tokens[1:]))
+                inputs.append(_in_range([int(s[1:]) for s in tokens[1:]], num_qubits))
             elif tokens[0] == "GATE":
-                circ.add(_parse_gate(ln))
+                circ.add(_parse_gate(ln, num_qubits))
             else:
                 raise CircuitError(f"unrecognized line: {ln}")
         except (IndexError, KeyError, ValueError) as exc:
@@ -565,10 +566,19 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
 _FIXED_ARITY = {"H": 1, "T": 1, "TDG": 1, "RZ": 1, "RY": 1, "CNOT": 2, "POSTSELECT": 1}
 
 
-def _parse_gate(ln: str) -> Gate:
+def _in_range(qubits: list[int], num_qubits: int) -> tuple[int, ...]:
+    """``qubits`` as a tuple; ValueError for a qubit outside ``[0, num_qubits)``."""
+    bad = [q for q in qubits if not 0 <= q < num_qubits]
+    if bad:
+        raise ValueError(f"qubit {bad[0]} outside [0, {num_qubits})")
+    return tuple(qubits)
+
+
+def _parse_gate(ln: str, num_qubits: int) -> Gate:
     """One GATE line. A wrong qubit count raises CircuitError; a missing or
-    non-numeric field raises IndexError, KeyError or ValueError, which
-    :func:`parse_circuit` reports as CircuitError with the line."""
+    non-numeric field, or a qubit outside ``[0, num_qubits)``, raises
+    IndexError, KeyError or ValueError, which :func:`parse_circuit` reports
+    as CircuitError with the line."""
     body, _, note = ln.partition(" # ")
     tokens = body.split()
     kind = tokens[1]
@@ -580,7 +590,7 @@ def _parse_gate(ln: str) -> Gate:
         elif tok.startswith("theta="):
             theta = float(tok.split("=", 1)[1])
     meta = dict(kv.split("=", 1) for kv in note.split(",")) if note else {}
-    qubits = tuple(qubits)
+    qubits = _in_range(qubits, num_qubits)
     if len(qubits) != _FIXED_ARITY.get(kind, len(qubits)):
         raise CircuitError(
             f"malformed line {ln!r}: {kind} takes {_FIXED_ARITY[kind]} qubit(s), got {len(qubits)}"
@@ -647,8 +657,13 @@ def opaque_sidecar(circ: Circuit) -> str:
 
 
 def parse_sidecar(text: str) -> dict[str, np.ndarray]:
-    """Inverse of :func:`opaque_sidecar`; a malformed matrix raises CircuitError."""
-    raw = json.loads(text)
+    """Inverse of :func:`opaque_sidecar`; malformed input raises CircuitError."""
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise CircuitError(f"sidecar is not JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CircuitError(f"sidecar must be a JSON object, got {type(raw).__name__}")
     try:
         return {mid: pairs_to_matrix(rows) for mid, rows in raw.items()}
     except (TypeError, ValueError) as exc:

@@ -3,9 +3,10 @@
 Three constructions are provided. The stacked-isometry form handles a whole
 Kraus set at once and is deterministic; the defect-operator and
 singular-value forms dilate a single (possibly expanded) operator with one
-ancilla qubit and succeed probabilistically on post-selection. Every
-artifact places the source operator in the top-left block of the dilated
-matrix so circuit assembly and verification can treat all back-ends alike.
+ancilla qubit and succeed probabilistically on post-selection. Each
+back-end returns its matrices, and each places the source operator in the
+top-left block of the dilated matrix, so circuit assembly and verification
+can treat all back-ends alike.
 
 Block convention: ancilla indices are the most significant part of the
 row/column index, so "ancilla = 0" selects the top block row.
@@ -13,21 +14,15 @@ row/column index, so "ancilla = 0" selects the top block row.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .channel import KrausSet, next_power_of_two
-from .linalg import (
-    complete_isometry,
-    dagger,
-    is_unitary,
-    kron,
-    svd_factorize,
-)
+from .linalg import dagger, is_unitary, svd_factorize
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+# Singular values up to 1 + CONTRACTION_TOL count as a contraction.
+CONTRACTION_TOL = 1e-9
 
 
 class DilationError(Exception):
@@ -38,40 +33,7 @@ class NotContractionError(DilationError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class DilationArtifact:
-    """Matrices produced by one dilation back-end plus block metadata.
-
-    ``matrices`` holds the named factors:
-
-    - ``stinespring``: ``isometry`` (m'd x d) and, when requested, its
-      ``unitary`` completion;
-    - ``sznagy``: ``unitary`` (2d x 2d);
-    - ``svd``: ``u``, ``vdag`` (d x d) and the diagonal ``u_sigma`` (2d x 2d).
-    """
-
-    kind: str
-    matrices: dict[str, np.ndarray] = field(repr=False)
-    ancilla_qubits: int
-    source_index: int | None = None
-
-    def dilated_unitary(self) -> np.ndarray:
-        """Full unitary acting on (ancilla, system) for sznagy/svd artifacts."""
-        if self.kind == "sznagy":
-            return self.matrices["unitary"]
-        if self.kind == "svd":
-            u = self.matrices["u"]
-            vdag = self.matrices["vdag"]
-            u_sigma = self.matrices["u_sigma"]
-            eye = np.eye(u.shape[0])
-            h = kron(HADAMARD, eye)
-            return kron(np.eye(2), u) @ h @ u_sigma @ h @ kron(np.eye(2), vdag)
-        if self.kind == "stinespring" and "unitary" in self.matrices:
-            return self.matrices["unitary"]
-        raise DilationError(f"no dilated unitary for kind {self.kind!r}")
-
-
-def stinespring_isometry(kset: KrausSet, complete: bool = False) -> DilationArtifact:
+def stinespring_isometry(kset: KrausSet) -> np.ndarray:
     """Stack the Kraus operators into one (m'd x d) isometry.
 
     The operator count is padded with zero blocks to the next power of two
@@ -80,37 +42,28 @@ def stinespring_isometry(kset: KrausSet, complete: bool = False) -> DilationArti
     success probability 1.
     """
     m = kset.num_operators
-    m_pad = next_power_of_two(m)
     d = kset.dim
     blocks = list(kset.operators) + [
-        np.zeros((d, d), dtype=complex) for _ in range(m_pad - m)
+        np.zeros((d, d), dtype=complex) for _ in range(next_power_of_two(m) - m)
     ]
-    v = np.vstack(blocks)
-    matrices = {"isometry": v}
-    if complete:
-        matrices["unitary"] = complete_isometry(v, tol=1e-9)
-    return DilationArtifact(
-        kind="stinespring",
-        matrices=matrices,
-        ancilla_qubits=int(math.log2(m_pad)),
-    )
+    return np.vstack(blocks)
 
 
-def _contraction_svd(m: np.ndarray, tol: float):
-    """SVD of a square operator whose spectral norm is at most 1 + ``tol``."""
+def _contraction_svd(m: np.ndarray):
+    """SVD of a square operator whose spectral norm is at most 1 + CONTRACTION_TOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DilationError(f"expected a square operator, got {m.shape}")
     u, s, vdag = svd_factorize(m)
-    if not s.max(initial=0.0) <= 1.0 + tol:
-        raise NotContractionError(f"spectral norm {s.max():.12f} exceeds 1 + {tol}")
+    if not s.max(initial=0.0) <= 1.0 + CONTRACTION_TOL:
+        raise NotContractionError(
+            f"spectral norm {s.max():.12f} exceeds 1 + {CONTRACTION_TOL}"
+        )
     return m, u, s, vdag
 
 
-def sznagy_unitary(
-    m: np.ndarray, tol: float = 1e-9, source_index: int | None = None
-) -> DilationArtifact:
-    """One-ancilla unitary dilation of a contraction via defect operators.
+def sznagy_unitary(m: np.ndarray) -> np.ndarray:
+    """One-ancilla unitary dilation (2d x 2d) of a contraction via defect operators.
 
     Builds ``[[M, D_Mdag], [D_M, -M^dag]]`` with ``D_T = sqrt(I - T^dag T)``.
     Acting on (system in psi, ancilla in 0) the top block applies M, so
@@ -121,40 +74,27 @@ def sznagy_unitary(
     even when unit singular values are degenerate (separate PSD square
     roots lose ~sqrt(eps) there and fail the unitarity check).
     """
-    m, u_f, s, vdag = _contraction_svd(m, tol)
+    m, u_f, s, vdag = _contraction_svd(m)
     root = np.sqrt(1.0 - np.clip(s, 0.0, 1.0) ** 2)
     defect = (dagger(vdag) * root) @ vdag
     defect_dagger = (u_f * root) @ dagger(u_f)
     u = np.block([[m, defect_dagger], [defect, -dagger(m)]])
     if not is_unitary(u, 1e-9):
         raise DilationError("defect-operator dilation failed the unitarity check")
-    return DilationArtifact(
-        kind="sznagy",
-        matrices={"unitary": u},
-        ancilla_qubits=1,
-        source_index=source_index,
-    )
+    return u
 
 
-def svd_dilation(
-    m: np.ndarray, tol: float = 1e-9, source_index: int | None = None
-) -> DilationArtifact:
+def svd_dilation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-ancilla dilation through the singular value decomposition.
 
     Factors ``M = U diag(s) Vdag`` and lifts each singular value to the
     unimodular pair ``s +- i sqrt(1 - s^2)`` on the ancilla branches, giving
-    the diagonal unitary ``u_sigma``. The assembled
-    ``(I(x)U)(H(x)I) u_sigma (H(x)I)(I(x)Vdag)`` has M as its top-left block.
-    Singular values in (1, 1 + tol] are clamped to 1; larger ones are
-    rejected.
+    the diagonal unitary ``u_sigma`` (2d x 2d). Returns ``(u, u_sigma,
+    vdag)``; the assembled ``(I(x)U)(H(x)I) u_sigma (H(x)I)(I(x)Vdag)`` has M
+    as its top-left block. Singular values in (1, 1 + CONTRACTION_TOL] are
+    clamped to 1; larger ones are rejected.
     """
-    _, u, s, vdag = _contraction_svd(m, tol)
+    _, u, s, vdag = _contraction_svd(m)
     s = np.clip(s, 0.0, 1.0)
     lift = 1j * np.sqrt(1.0 - s**2)
-    u_sigma = np.diag(np.concatenate([s + lift, s - lift]))
-    return DilationArtifact(
-        kind="svd",
-        matrices={"u": u, "vdag": vdag, "u_sigma": u_sigma},
-        ancilla_qubits=1,
-        source_index=source_index,
-    )
+    return u, np.diag(np.concatenate([s + lift, s - lift])), vdag

@@ -42,19 +42,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(a, b)
-
-
 def max_abs(a: np.ndarray) -> float:
     """Max-entry norm ||A||_max."""
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and max_abs(a - dagger(a)) <= tol
 
 
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -68,13 +58,6 @@ def is_isometry(a: np.ndarray, tol: float = 1e-10) -> bool:
     if a.shape[0] < a.shape[1]:
         return False
     return max_abs(dagger(a) @ a - np.eye(a.shape[1])) <= tol
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    if not is_hermitian(a, tol):
-        return False
-    evals = np.linalg.eigvalsh((a + dagger(a)) / 2)
-    return bool(evals.min() >= -tol)
 
 
 def psd_sqrt(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

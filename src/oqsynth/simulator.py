@@ -97,15 +97,6 @@ class DensityMatrix:
             raise DimensionMismatchError(f"bad density matrix shape {m.shape}")
         return cls(matrix=m, num_qubits=n)
 
-    def validate(self, tol: float = 1e-10) -> "DensityMatrix":
-        if max_abs(self.matrix - dagger(self.matrix)) > tol:
-            raise SimulationError("density matrix is not Hermitian")
-        if abs(np.trace(self.matrix) - 1.0) > tol:
-            raise SimulationError("density matrix trace differs from one")
-        if np.linalg.eigvalsh(self.matrix).min() < -1e-9:
-            raise SimulationError("density matrix has a negative eigenvalue")
-        return self
-
 
 def _coerce_state(state, expected_qubits: int) -> np.ndarray:
     m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
@@ -393,7 +384,6 @@ def verify_equivalence(
     trials: int = 5,
     tol: float = 1e-9,
     seed: int = 0,
-    max_qubits: int = 16,
 ) -> EquivalenceReport:
     """Check the synthesized circuit against the dense channel oracle.
 
@@ -418,7 +408,7 @@ def verify_equivalence(
             rho = g @ dagger(g)
             rho = rho / np.trace(rho)
         want = apply_channel(kset, rho)
-        got, p = run(circ, rho, max_qubits=max_qubits)
+        got, p = run(circ, rho)
         res, perr, ok = compare_to_oracle(got.matrix, want, p, expected_p, tol)
         worst_res = max(worst_res, res)
         worst_perr = max(worst_perr, perr)

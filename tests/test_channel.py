@@ -121,7 +121,7 @@ class TestGroupKraus:
         assert g.operators == k.operators
         assert not g.includes_identity_block
         assert g.expanded_dim == k.dim
-        assert g.num_branches == 4
+        assert len(g.branch_operators) == 4
 
     def test_worked_four_into_two(self):
         # oracle: build the three expanded operators by hand with np.block
@@ -134,7 +134,7 @@ class TestGroupKraus:
         g = group_kraus(k, 2)
         assert g.includes_identity_block
         assert len(g.operators) == 3
-        assert g.num_branches == 2
+        assert len(g.branch_operators) == 2
         for got, want in zip(g.operators, (e1, e2, e3)):
             assert max_abs(got - want) == 0.0
 
@@ -293,3 +293,18 @@ def test_nan_operator_is_not_trace_preserving():
     op[0, 0] = np.nan
     with pytest.raises(NotTracePreservingError):
         validate_cptp([op])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [FMOParams(alpha=float("nan")), FMOParams(dt=float("nan")), FMOParams(gamma=float("inf"), dt=0.0)],
+    ids=["nan-alpha", "nan-dt", "inf-times-zero"],
+)
+def test_fmo_non_finite_rates_are_invalid(params):
+    with pytest.raises(InvalidRatesError):
+        fmo_kraus_set(params)
+
+
+def test_fmo_trajectory_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps must be non-negative, got -1"):
+        fmo_trajectory(FMOParams(), fmo_initial_state(), steps=-1)

@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from oqsynth.circuit import (
     export_circuit,
     h,
     multi_target_cswap,
+    multi_target_cswap_gate,
     opaque_sidecar,
     opaque_unitary,
     parse_circuit,
@@ -29,10 +32,17 @@ from oqsynth.circuit import (
     ry,
     rz,
     t,
+    tdg,
     trace_out,
 )
 from oqsynth.linalg import matrix_to_pairs
 from oqsynth.linalg import max_abs
+
+
+def kinds(c):
+    """Gate count per kind."""
+    return Counter(g.kind for g in c.gates)
+
 
 # --- independent dense oracle for small gate lists ---------------------------
 
@@ -232,8 +242,8 @@ class TestBuildMixer:
     def test_shared_structure(self):
         c = build_mixer(4, 2, mode="shared")
         assert c.num_qubits == 4 * 2 + 3
-        assert c.count_kind("MULTI_TARGET_CSWAP") == 3
-        assert c.count_kind("H") == 3
+        assert kinds(c)["MULTI_TARGET_CSWAP"] == 3
+        assert kinds(c)["H"] == 3
         mix = costmodel.mixer_cost(4, 2, "shared")
         assert c.depth() == mix.total_depth
         assert c.cnot_count() == mix.cnot
@@ -264,8 +274,8 @@ class TestAssemble:
         k = random_kraus_set(2, 16, seed=1)
         c = assemble_simulation_circuit(k, "stinespring")
         assert c.num_qubits == 2 + 4
-        assert c.count_kind("OPAQUE_UNITARY") == 1
-        assert c.count_kind("POSTSELECT") == 0
+        assert kinds(c)["OPAQUE_UNITARY"] == 1
+        assert kinds(c)["POSTSELECT"] == 0
         cost = costmodel.combined_cost("stinespring", 2, 16)
         assert c.depth() == cost.depth
         assert c.cnot_count() == cost.cnot_count
@@ -274,14 +284,14 @@ class TestAssemble:
         k = random_kraus_set(1, 1, seed=2)
         c = assemble_simulation_circuit(k, "stinespring")
         assert c.num_qubits == 1
-        assert c.count_kind("TRACE_OUT") == 0
+        assert kinds(c)["TRACE_OUT"] == 0
 
     def test_sznagy_ungrouped_counts(self):
         k = random_kraus_set(2, 16, seed=3)
         c = assemble_simulation_circuit(k, "sznagy", group_size=1)
         cost = costmodel.combined_cost("sznagy", 2, 16, group_size=1)
         assert c.num_qubits == cost.qubit_count == 16 * 3 + 15
-        assert c.count_kind("OPAQUE_UNITARY") == 16
+        assert kinds(c)["OPAQUE_UNITARY"] == 16
         assert c.depth() == pytest.approx(cost.depth)
         assert c.cnot_count() == pytest.approx(cost.cnot_count)
 
@@ -297,19 +307,19 @@ class TestAssemble:
     def test_branch_count_excludes_identity_block(self):
         k = random_kraus_set(2, 16, seed=5)
         c = assemble_simulation_circuit(k, "sznagy", group_size=2)
-        assert c.count_kind("OPAQUE_UNITARY") == 8  # not 9
+        assert kinds(c)["OPAQUE_UNITARY"] == 8  # not 9
 
     def test_full_grouping_has_no_mixer(self):
         k = random_kraus_set(1, 4, seed=6)
         c = assemble_simulation_circuit(k, "sznagy", group_size=4)
-        assert c.count_kind("MULTI_TARGET_CSWAP") == 0
-        assert c.count_kind("H") == 0
-        assert c.count_kind("POSTSELECT") == 1
+        assert kinds(c)["MULTI_TARGET_CSWAP"] == 0
+        assert kinds(c)["H"] == 0
+        assert kinds(c)["POSTSELECT"] == 1
 
     def test_fanout_mode_is_elementary(self):
         k = random_kraus_set(1, 4, seed=7)
         c = assemble_simulation_circuit(k, "svd", group_size=1, mode="fanout")
-        assert c.count_kind("MULTI_TARGET_CSWAP") == 0
+        assert kinds(c)["MULTI_TARGET_CSWAP"] == 0
         cost = costmodel.combined_cost("svd", 1, 4, group_size=1, mode="fanout")
         assert c.depth() == pytest.approx(cost.depth)
         assert c.cnot_count() == pytest.approx(cost.cnot_count)
@@ -457,3 +467,83 @@ MALFORMED_NATIVE = [
 def test_parse_circuit_malformed_line(text):
     with pytest.raises(CircuitError):
         parse_circuit(text)
+
+
+# (text, the line the error must name)
+OUT_OF_RANGE_NATIVE = [
+    ("CIRCUIT num_qubits=-1", "CIRCUIT num_qubits=-1"),
+    ("CIRCUIT num_qubits=2\nINPUT q-1", "INPUT q-1"),
+    ("CIRCUIT num_qubits=2\nINPUT q5\nGATE H q0", "INPUT q5"),
+    ("CIRCUIT num_qubits=2\nREGISTER system q0 q2", "REGISTER system q0 q2"),
+    ("CIRCUIT num_qubits=2\nGATE CNOT q0 q2", "GATE CNOT q0 q2"),
+    ("CIRCUIT num_qubits=2\nGATE H q-1", "GATE H q-1"),
+]
+
+
+@pytest.mark.parametrize("text,bad", OUT_OF_RANGE_NATIVE, ids=[b for _, b in OUT_OF_RANGE_NATIVE])
+def test_parse_circuit_bounds_every_qubit_by_the_header(text, bad):
+    with pytest.raises(CircuitError, match=re.escape(repr(bad))):
+        parse_circuit(text)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"text"', "", "not json", "{"])
+def test_parse_sidecar_raises_only_circuit_error(text):
+    with pytest.raises(CircuitError):
+        parse_sidecar(text)
+
+
+# --- native text round trip ----------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAMES = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+DRAWN_KINDS = ("H", "T", "TDG", "RZ", "RY", "CNOT", "OPAQUE", "CSWAP", "POSTSELECT", "TRACE_OUT")
+
+
+@st.composite
+def native_circuits(draw):
+    n = draw(st.integers(3, 8))
+    qubit = st.integers(0, n - 1)
+
+    def wires(k):
+        return draw(st.lists(qubit, min_size=k, max_size=k, unique=True))
+
+    c = Circuit(num_qubits=n)
+    for kind in draw(st.lists(st.sampled_from(DRAWN_KINDS), max_size=12)):
+        if kind in ("H", "T", "TDG"):
+            g = {"H": h, "T": t, "TDG": tdg}[kind](wires(1)[0])
+        elif kind in ("RZ", "RY"):
+            g = (rz if kind == "RZ" else ry)(wires(1)[0], draw(FINITE))
+        elif kind == "CNOT":
+            g = cnot(*wires(2))
+        elif kind == "OPAQUE":
+            g = opaque_unitary(
+                wires(draw(st.integers(1, n))),
+                draw(NAMES),
+                depth_weight=draw(st.floats(1.0, 1e9)),
+                cnot_weight=draw(st.floats(0.0, 1e9)),
+            )
+        elif kind == "CSWAP":
+            n_t = draw(st.integers(1, (n - 1) // 2))
+            q = wires(1 + 2 * n_t)
+            g = multi_target_cswap_gate(q[0], zip(q[1 : 1 + n_t], q[1 + n_t :]))
+        elif kind == "POSTSELECT":
+            g = postselect(wires(1)[0], draw(st.integers(0, 1)))
+        else:
+            g = trace_out(wires(draw(st.integers(1, n))))
+        c.add(g)
+    c.registers = draw(st.dictionaries(NAMES, st.lists(qubit, max_size=n).map(tuple), max_size=3))
+    inputs = st.lists(st.lists(qubit, min_size=1, max_size=n, unique=True).map(tuple), max_size=3)
+    c.input_registers = tuple(draw(inputs))
+    return c
+
+
+@settings(deadline=None, max_examples=200)
+@given(native_circuits())
+def test_native_text_round_trips(c):
+    text = export_circuit(c)
+    back = parse_circuit(text)
+    assert back.num_qubits == c.num_qubits
+    assert back.gates == c.gates
+    assert back.registers == c.registers
+    assert back.input_registers == c.input_registers
+    assert export_circuit(back) == text

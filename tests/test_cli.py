@@ -309,3 +309,11 @@ def test_synth_refuses_non_finite_matrix(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
     assert not out.exists() and not mats.exists()
+
+
+@pytest.mark.parametrize("argv", [["--steps", "-1"], ["--steps", "-3"], ["--alpha", "nan"]])
+def test_fmo_bad_input_is_one_line(argv, capsys):
+    assert main(["fmo", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("steps" if argv[0] == "--steps" else "alpha") in err

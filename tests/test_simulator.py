@@ -22,7 +22,7 @@ from oqsynth.circuit import (
     t,
     trace_out,
 )
-from oqsynth.linalg import dagger, kron, max_abs, partial_trace
+from oqsynth.linalg import dagger, max_abs, partial_trace
 from oqsynth.simulator import (
     DensityMatrix,
     EquivalenceFailure,
@@ -112,7 +112,7 @@ class TestEngineBasics:
         one = np.diag([0.0, 1.0]).astype(complex)
         out, _ = run(c, [r1, r2, one])
         # qubit order: q2 q1 q0 (MSB first) -> kron(one, r1, r2) after swap
-        want = kron(one, kron(r1, r2))
+        want = np.kron(one, np.kron(r1, r2))
         assert max_abs(out.matrix - want) <= 1e-12
 
     def test_postselect_probabilities_complementary(self):
@@ -136,7 +136,7 @@ class TestEngineBasics:
         c.add(cnot(0, 1))
         c.add(trace_out((1,)))
         out, _ = run(c, [r1, r2])
-        joint = kron(r2, r1)  # qubit 1 is MSB
+        joint = np.kron(r2, r1)  # qubit 1 is MSB
         cx = gate_matrix(cnot(0, 1), 2)
         evolved = cx @ joint @ dagger(cx)
         want = partial_trace(evolved, [2, 2], keep={1})  # keep LSB block
@@ -357,13 +357,8 @@ class TestDensityMatrixType:
     def test_from_pure_normalizes(self):
         dm = DensityMatrix.from_pure([1, 1])
         assert abs(np.trace(dm.matrix) - 1.0) <= 1e-12
-        dm.validate()
-
-    def test_validate_rejects_bad_trace(self):
-        from oqsynth.simulator import SimulationError
-
-        with pytest.raises(SimulationError):
-            DensityMatrix.from_matrix(2 * np.eye(2)).validate()
+        assert max_abs(dm.matrix - dagger(dm.matrix)) <= 1e-10
+        assert np.linalg.eigvalsh(dm.matrix).min() >= -1e-9
 
 
 # --- fused controlled swap: engine against the dense oracle --------------------
@@ -534,7 +529,7 @@ def test_untouched_register_passes_through_beside_a_touched_one():
     c = circuit_of([h(0)], 3, inputs=[(0,), (1, 2)])
     out, _ = run(c, [r0, r1])
     hd = gate_matrix(h(0), 1)
-    assert max_abs(out.matrix - kron(r1, hd @ r0 @ dagger(hd))) <= 1e-15
+    assert max_abs(out.matrix - np.kron(r1, hd @ r0 @ dagger(hd))) <= 1e-15
 
 
 def test_overlapping_input_registers_are_rejected():
