@@ -16,6 +16,7 @@ from .channel import (
     fmo_kraus_set,
     fmo_trajectory,
     group_kraus,
+    pad_to_power_of_two,
     random_kraus_set,
     validate_cptp,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "fmo_kraus_set",
     "fmo_trajectory",
     "group_kraus",
+    "pad_to_power_of_two",
     "random_kraus_set",
     "validate_cptp",
     "Circuit",

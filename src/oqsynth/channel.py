@@ -10,7 +10,7 @@ used as the worked physical example.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,6 +134,18 @@ def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
         num_qubits=int(math.log2(d)),
         deviation=dev,
     )
+
+
+def pad_to_power_of_two(kset: KrausSet) -> KrausSet:
+    """Append zero operators up to a power-of-two count; ``kset`` itself if already one.
+
+    Zero blocks add nothing to ``sum M^dag M``, so ``deviation`` carries over.
+    """
+    m = kset.num_operators
+    if is_power_of_two(m):
+        return kset
+    zeros = np.zeros((next_power_of_two(m) - m, kset.dim, kset.dim), dtype=complex)
+    return replace(kset, operators=kset.operators + tuple(zeros))
 
 
 def apply_channel(kset: KrausSet, rho: np.ndarray) -> np.ndarray:

@@ -360,7 +360,7 @@ def assemble_simulation_circuit(
     group_size: int = 1,
     mode: str = "shared",
 ) -> Circuit:
-    """Lower a Kraus set to a full simulation circuit.
+    """Lower a power-of-two Kraus set (see ``pad_to_power_of_two``) to a full circuit.
 
     stinespring: one opaque isometry block on system plus environment
     qubits, environment traced out, success probability 1.
@@ -376,10 +376,14 @@ def assemble_simulation_circuit(
         raise CircuitError(f"unknown method {method!r}")
     n = kset.num_qubits
     m = kset.num_operators
+    if not is_power_of_two(m):
+        raise NotPowerOfTwoError(
+            f"m = {m} is not a power of two; pad the set with pad_to_power_of_two first"
+        )
+    k = int(math.log2(m))
 
     if method == "stinespring":
         v = stinespring_isometry(kset)
-        k = int(math.log2(v.shape[0] // kset.dim))
         cost = costmodel.dilation_cost("stinespring", n, m=m)
         system = tuple(range(n))
         env = tuple(range(n, n + k))
@@ -403,10 +407,6 @@ def assemble_simulation_circuit(
             circ.add(trace_out(env))
         return circ
 
-    if not is_power_of_two(m):
-        raise NotPowerOfTwoError(
-            f"m = {m} is not a power of two; pad the set with zero operators first"
-        )
     grouped = group_kraus(kset, group_size)
     g = int(math.log2(group_size))
     q = n + g + 1
@@ -547,9 +547,9 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
         tokens = ln.split()
         try:
             if tokens[0] == "REGISTER":
-                registers[tokens[1]] = _in_range([int(s[1:]) for s in tokens[2:]], num_qubits)
+                registers[tokens[1]] = _qubits(tokens[2:], num_qubits)
             elif tokens[0] == "INPUT":
-                inputs.append(_in_range([int(s[1:]) for s in tokens[1:]], num_qubits))
+                inputs.append(_qubits(tokens[1:], num_qubits))
             elif tokens[0] == "GATE":
                 circ.add(_parse_gate(ln, num_qubits))
             else:
@@ -566,31 +566,34 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
 _FIXED_ARITY = {"H": 1, "T": 1, "TDG": 1, "RZ": 1, "RY": 1, "CNOT": 2, "POSTSELECT": 1}
 
 
-def _in_range(qubits: list[int], num_qubits: int) -> tuple[int, ...]:
-    """``qubits`` as a tuple; ValueError for a qubit outside ``[0, num_qubits)``."""
+def _qubits(tokens, num_qubits: int) -> tuple[int, ...]:
+    """``q<digits>`` tokens as qubit indices; ValueError for any other token,
+    a qubit outside ``[0, num_qubits)`` or a repeated qubit."""
+    bad = [t for t in tokens if not (t[:1] == "q" and t[1:].isascii() and t[1:].isdigit())]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not a qubit token q<digits>")
+    qubits = tuple(int(t[1:]) for t in tokens)
     bad = [q for q in qubits if not 0 <= q < num_qubits]
     if bad:
         raise ValueError(f"qubit {bad[0]} outside [0, {num_qubits})")
-    return tuple(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit in {' '.join(tokens)}")
+    return qubits
 
 
 def _parse_gate(ln: str, num_qubits: int) -> Gate:
     """One GATE line. A wrong qubit count raises CircuitError; a missing or
-    non-numeric field, or a qubit outside ``[0, num_qubits)``, raises
-    IndexError, KeyError or ValueError, which :func:`parse_circuit` reports
-    as CircuitError with the line."""
+    non-numeric field, a token other than a qubit or ``theta=``, or a bad
+    qubit (see :func:`_qubits`) raises IndexError, KeyError or ValueError,
+    which :func:`parse_circuit` reports as CircuitError with the line."""
     body, _, note = ln.partition(" # ")
     tokens = body.split()
     kind = tokens[1]
-    qubits = []
     theta = None
-    for tok in tokens[2:]:
-        if tok.startswith("q"):
-            qubits.append(int(tok[1:]))
-        elif tok.startswith("theta="):
-            theta = float(tok.split("=", 1)[1])
+    if tokens[-1].startswith("theta="):
+        theta = float(tokens.pop()[len("theta="):])
     meta = dict(kv.split("=", 1) for kv in note.split(",")) if note else {}
-    qubits = _in_range(qubits, num_qubits)
+    qubits = _qubits(tokens[2:], num_qubits)
     if len(qubits) != _FIXED_ARITY.get(kind, len(qubits)):
         raise CircuitError(
             f"malformed line {ln!r}: {kind} takes {_FIXED_ARITY[kind]} qubit(s), got {len(qubits)}"

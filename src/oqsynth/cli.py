@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 semantic failure (trace preservation or
 equivalence out of tolerance, or a circuit the simulator could not run:
 a zero-probability post-selection, a factor wider than its limit, or
-memory exhausted), 2 malformed input or I/O error. All
-floating-point text output uses 17 significant digits so values round-trip
-exactly; commands are deterministic for a fixed ``--seed``.
+memory exhausted), 2 malformed input, a matrix no dilation accepts, or
+an I/O error. All floating-point text output uses 17 significant digits
+so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from . import channel, circuit, costmodel, simulator
 from .channel import ChannelError, NotTracePreservingError
 from .costmodel import format_float
+from .dilation import DilationError
 from .linalg import LinalgError, pairs_to_matrix
 
 EXIT_OK = 0
@@ -70,31 +71,22 @@ def _load_state(path: str) -> np.ndarray:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _pad_to_power_of_two(kset: channel.KrausSet) -> channel.KrausSet:
-    m = kset.num_operators
-    if channel.is_power_of_two(m):
-        return kset
-    m_pad = channel.next_power_of_two(m)
-    print(
-        f"warning: padding operator count from {m} to {m_pad} with zero blocks",
-        file=sys.stderr,
-    )
-    zeros = [np.zeros((kset.dim, kset.dim), dtype=complex) for _ in range(m_pad - m)]
-    return channel.validate_cptp(
-        list(kset.operators) + zeros, tol=max(1e-9, 2 * kset.deviation)
-    )
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _assemble(args, kset: channel.KrausSet):
-    """Pad the set for the mixer routes, then lower it with the chosen options."""
-    if args.method != "stinespring":
-        kset = _pad_to_power_of_two(kset)
-    return kset, circuit.assemble_simulation_circuit(
-        kset, args.method, group_size=args.group, mode=args.mode
+    """Pad the set to a power-of-two count, then lower it with the chosen options."""
+    padded = channel.pad_to_power_of_two(kset)
+    if padded is not kset:
+        m, m_pad = kset.num_operators, padded.num_operators
+        warning = f"warning: padding operator count from {m} to {m_pad} with zero blocks"
+        print(warning, file=sys.stderr)
+    return padded, circuit.assemble_simulation_circuit(
+        padded, args.method, group_size=args.group, mode=args.mode
     )
 
 
@@ -119,7 +111,7 @@ def cmd_synth(args) -> int:
         args.method,
         kset.num_qubits,
         kset.num_operators,
-        group_size=args.group if args.method != "stinespring" else 1,
+        group_size=args.group,
         mode=args.mode,
     )
     # encode the sidecar first: a matrix it refuses leaves no artefact behind
@@ -292,7 +284,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (_InputError, ChannelError, LinalgError, circuit.CircuitError, ValueError) as exc:
+    except (
+        _InputError, ChannelError, LinalgError, circuit.CircuitError, DilationError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

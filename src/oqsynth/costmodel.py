@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .channel import is_power_of_two, next_power_of_two
+from .channel import is_power_of_two
 
 METHODS = ("stinespring", "sznagy", "svd")
 ANCILLA_MODES = ("shared", "fanout")
@@ -22,7 +22,6 @@ ANCILLA_MODES = ("shared", "fanout")
 # per-CSWAP weights of the elementary decomposition
 CSWAP_DEPTH = 14
 CSWAP_CNOTS = 9
-CSWAP_CONTROL_CNOTS = 3
 
 
 def _check_method(method: str) -> None:
@@ -91,10 +90,10 @@ def dilation_cost(
 ) -> BranchCost:
     """Leading-order CNOT/depth of one dilation block.
 
-    stinespring covers the whole set (requires ``m``); sznagy/svd cost one
-    branch of ``m / group_size``. Depth equals the block's total gate count
-    by convention, since no transpiler-independent depth exists for dense
-    unitary blocks.
+    stinespring covers the whole set (requires a power-of-two ``m``);
+    sznagy/svd cost one branch of ``m / group_size``. Depth equals the
+    block's total gate count by convention, since no transpiler-independent
+    depth exists for dense unitary blocks.
     """
     _check_method(method)
     d = 2**n
@@ -102,12 +101,12 @@ def dilation_cost(
     if method == "stinespring":
         if m is None:
             raise ValueError("stinespring cost needs the operator count m")
-        m_pad = next_power_of_two(m)
-        cnot = m_pad * d**2 - m_pad * d / 24
+        _log2_int(m, "operator count m")
+        cnot = m * d**2 - m * d / 24
         return BranchCost(
             cnot=cnot,
             depth=cnot,
-            uncounted_cnot_bound=math.log2(m_pad * d) ** 2 * d,
+            uncounted_cnot_bound=math.log2(m * d) ** 2 * d,
         )
     if method == "sznagy":
         # isometry of shape (2*ld x d) per branch; scales linearly in the
@@ -247,39 +246,29 @@ def combined_cost(
     Branch blocks run in parallel on disjoint registers, so the depth is
     one branch depth plus the mixer's CSWAP layers (ancilla preparation
     overlaps the branch blocks). Success probability is group_size / m,
-    or 1 for the deterministic stacked-isometry route.
+    or 1 for the deterministic stacked-isometry route, which is the
+    one-branch case: group size 1 whatever ``group_size`` says, no mixer.
     """
     _check_method(method)
     _check_mode(mode)
+    if n < 1:
+        raise ValueError(f"system qubit count n = {n} must be at least 1")
     k = _log2_int(m, "operator count m")
-    p = success_probability(method, m, group_size)
     if method == "stinespring":
+        group_size, branches, q = 1, 1, n + k
         branch = dilation_cost(method, n, m=m)
-        return CostReport(
-            method=method,
-            n=n,
-            m=m,
-            group_size=1,
-            ancilla_mode=mode,
-            depth=branch.depth,
-            cnot_count=branch.cnot,
-            qubit_count=n + k,
-            success_probability=p,
-            expected_shots=1.0 / p,
-            dilation_cnot=branch.cnot,
-            dilation_depth=branch.depth,
-            uncounted_cnot_bound=branch.uncounted_cnot_bound,
-            notes="deterministic; single circuit call",
-        )
-    q = n + 1 + _log2_int(group_size, "group size")
-    if group_size > m:
-        raise ValueError(f"group size {group_size} exceeds m = {m}")
-    branches = m // group_size
-    branch = dilation_cost(method, n, group_size=group_size)
+        notes = "deterministic; single circuit call"
+    else:
+        q = n + 1 + _log2_int(group_size, "group size")
+        if group_size > m:
+            raise ValueError(f"group size {group_size} exceeds m = {m}")
+        branches = m // group_size
+        branch = dilation_cost(method, n, group_size=group_size)
+        notes = ""
+        if group_size == m:
+            notes = "stinespring dominates: grouped dilation carries extra defect terms"
+    p = success_probability(method, m, group_size)
     mix = mixer_cost(branches, q, mode)
-    notes = ""
-    if group_size == m:
-        notes = "stinespring dominates: grouped dilation carries extra defect terms"
     return CostReport(
         method=method,
         n=n,

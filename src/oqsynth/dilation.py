@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, next_power_of_two
+from .channel import KrausSet
 from .linalg import dagger, is_unitary, svd_factorize
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -34,19 +34,12 @@ class NotContractionError(DilationError):
 
 
 def stinespring_isometry(kset: KrausSet) -> np.ndarray:
-    """Stack the Kraus operators into one (m'd x d) isometry.
+    """Stack the Kraus operators into one (md x d) isometry.
 
-    The operator count is padded with zero blocks to the next power of two
-    so the environment register is a whole number of qubits. Tracing that
-    register out of ``V rho V^dag`` reproduces the channel exactly, with
-    success probability 1.
+    Tracing the log2(m)-qubit environment out of ``V rho V^dag`` reproduces
+    the channel exactly, with success probability 1.
     """
-    m = kset.num_operators
-    d = kset.dim
-    blocks = list(kset.operators) + [
-        np.zeros((d, d), dtype=complex) for _ in range(next_power_of_two(m) - m)
-    ]
-    return np.vstack(blocks)
+    return np.vstack(kset.operators)
 
 
 def _contraction_svd(m: np.ndarray):

@@ -30,6 +30,8 @@ from .dilation import HADAMARD
 from .linalg import DimensionMismatchError, dagger, max_abs
 
 ZERO_BRANCH_CUTOFF = 1e-14
+# Widest density factor the engine builds: 12 qubits is 256 MiB of complex128.
+MAX_FACTOR_QUBITS = 12
 PROBABILITY_TOL = 1e-12
 _EINSUM_LABELS = string.ascii_letters  # the subscripts np.einsum accepts
 
@@ -174,8 +176,7 @@ class _Factor:
 class _Engine:
     """Product of independent factors plus post-selection bookkeeping."""
 
-    def __init__(self, factors: list[_Factor], max_qubits: int):
-        self.max_qubits = max_qubits
+    def __init__(self, factors: list[_Factor]):
         self.factors = factors
         self.success_prob = 1.0
 
@@ -199,9 +200,9 @@ class _Engine:
         return touching, rest
 
     def _check_width(self, k: int) -> None:
-        if k > self.max_qubits:
+        if k > MAX_FACTOR_QUBITS:
             raise SimulationError(
-                f"merging factors would exceed {self.max_qubits} live qubits"
+                f"merging factors would exceed {MAX_FACTOR_QUBITS} live qubits"
             )
 
     def factor_for(self, qubits) -> _Factor:
@@ -290,12 +291,7 @@ class _Engine:
         return rho.reshape(2**k, 2**k)
 
 
-def run(
-    circuit: Circuit,
-    rho_in,
-    *,
-    max_qubits: int = 16,
-) -> tuple[DensityMatrix, float]:
+def run(circuit: Circuit, rho_in) -> tuple[DensityMatrix, float]:
     """Execute a circuit on the given input state(s).
 
     ``rho_in`` is a density matrix, pure-state amplitude vector (normalized
@@ -304,7 +300,8 @@ def run(
     register. TRACE_OUT is terminal: a gate on a qubit after its TRACE_OUT
     raises :class:`SimulationError`. Returns the reduced state over the
     surviving qubits (ascending index) and the product of post-selection
-    probabilities (1.0 when there are none).
+    probabilities (1.0 when there are none). A merge or contraction wider
+    than :data:`MAX_FACTOR_QUBITS` raises :class:`SimulationError` first.
     """
     regs = circuit.input_registers
     states = rho_in if isinstance(rho_in, (list, tuple)) else [rho_in] * len(regs)
@@ -333,7 +330,7 @@ def run(
         else:
             last.update(dict.fromkeys(g.qubits, i))
 
-    eng = _Engine(inputs, max_qubits)
+    eng = _Engine(inputs)
     for i, g in enumerate(circuit.gates):
         leaving = {q for q in g.qubits if retire.get(q) == i}
         if g.kind == "MULTI_TARGET_CSWAP":

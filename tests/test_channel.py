@@ -16,6 +16,7 @@ from oqsynth.channel import (
     group_kraus,
     kraus_from_json_dict,
     kraus_to_json_dict,
+    pad_to_power_of_two,
     random_kraus_set,
     reduce_state,
     validate_cptp,
@@ -63,6 +64,24 @@ class TestValidateCptp:
         assert k.is_minimal
         k5 = random_kraus_set(1, 5, seed=0)
         assert not k5.is_minimal
+
+
+class TestPadToPowerOfTwo:
+    def test_power_of_two_count_returns_the_set_itself(self):
+        for m in (1, 2, 4):
+            k = random_kraus_set(1, m, seed=m)
+            assert pad_to_power_of_two(k) is k
+
+    @pytest.mark.parametrize("m,padded", [(3, 4), (5, 8), (9, 16)])
+    def test_zero_blocks_leave_the_channel_unchanged(self, m, padded):
+        k = random_kraus_set(2, m, seed=m)
+        p = pad_to_power_of_two(k)
+        assert p.num_operators == padded
+        assert p.operators[:m] == k.operators
+        assert all(not op.any() and op.shape == (4, 4) for op in p.operators[m:])
+        assert p.deviation == k.deviation
+        rho = random_density(np.random.default_rng(m), 4)
+        assert np.array_equal(apply_channel(p, rho), apply_channel(k, rho))
 
 
 class TestApplyChannel:

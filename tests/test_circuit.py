@@ -326,8 +326,9 @@ class TestAssemble:
 
     def test_non_power_of_two_rejected(self):
         k = random_kraus_set(1, 3, seed=8)
-        with pytest.raises(NotPowerOfTwoError):
-            assemble_simulation_circuit(k, "sznagy")
+        for method in ("stinespring", "sznagy", "svd"):
+            with pytest.raises(NotPowerOfTwoError, match="pad_to_power_of_two"):
+                assemble_simulation_circuit(k, method)
 
 
 class TestSerialization:
@@ -460,12 +461,19 @@ MALFORMED_NATIVE = [
     "CIRCUIT num_qubits=x",
     "CIRCUIT num_qubits=4\nGATE",
     "CIRCUIT num_qubits=4\nGATE MULTI_TARGET_CSWAP q0 q1 q2 q3 # n_targets=1",
+    "CIRCUIT num_qubits=4\nGATE H q0 junk",
+    "CIRCUIT num_qubits=4\nGATE RZ theta=1 q0",
+    "CIRCUIT num_qubits=4\nGATE CNOT q0 q0",
+    "CIRCUIT num_qubits=4\nINPUT x0",
+    "CIRCUIT num_qubits=4\nINPUT q0 q0",
+    "CIRCUIT num_qubits=4\nINPUT q+1",
+    "CIRCUIT num_qubits=4\nREGISTER r q1 q1",
 ]
 
 
 @pytest.mark.parametrize("text", MALFORMED_NATIVE, ids=lambda t: t.splitlines()[-1])
 def test_parse_circuit_malformed_line(text):
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match=re.escape(repr(text.splitlines()[-1]))):
         parse_circuit(text)
 
 
@@ -531,7 +539,8 @@ def native_circuits(draw):
         else:
             g = trace_out(wires(draw(st.integers(1, n))))
         c.add(g)
-    c.registers = draw(st.dictionaries(NAMES, st.lists(qubit, max_size=n).map(tuple), max_size=3))
+    registers = st.lists(qubit, max_size=n, unique=True).map(tuple)
+    c.registers = draw(st.dictionaries(NAMES, registers, max_size=3))
     inputs = st.lists(st.lists(qubit, min_size=1, max_size=n, unique=True).map(tuple), max_size=3)
     c.input_registers = tuple(draw(inputs))
     return c

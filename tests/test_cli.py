@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oqsynth.channel import (
+    apply_channel,
     fmo_kraus_set,
     kraus_to_json_dict,
     random_kraus_set,
@@ -251,12 +252,78 @@ class TestCost:
     def test_sweep_rejects_stinespring(self):
         assert main(["cost", "--n", "1", "--m", "4", "--method", "stinespring", "--sweep-groups"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep-groups"]])
+    def test_rejects_system_without_qubits(self, n, sweep, capsys):
+        assert main(["cost", "--n", n, "--m", "4", *sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: system qubit count n = {n} must be at least 1\n"
+
+
+PADDING_WARNING = "warning: padding operator count from 3 to 4 with zero blocks\n"
+
+
+@pytest.mark.parametrize("method,p", [("stinespring", 1.0), ("sznagy", 0.25), ("svd", 0.25)])
+def test_synth_pads_every_method_once(tmp_path, capsys, method, p):
+    # the shipped text and sidecar, read back and run, reproduce the
+    # unpadded channel
+    kset = random_kraus_set(1, 3, seed=4)
+    path = write_kraus(tmp_path / "k.json", kset)
+    out, mats = tmp_path / "c.txt", tmp_path / "m.json"
+    rc = main(["synth", path, "--method", method, "--out", str(out), "--matrices", str(mats)])
+    assert rc == 0
+    assert capsys.readouterr().err == PADDING_WARNING
+    circ = parse_circuit(out.read_text(), matrices=parse_sidecar(mats.read_text()))
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    got, prob = simulator.run(circ, rho)
+    assert np.abs(got.matrix - apply_channel(kset, rho)).max() <= 1e-9
+    assert abs(prob - p) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["stinespring", "sznagy", "svd"])
+def test_simulate_pads_every_method_once(tmp_path, capsys, method):
+    kpath = write_kraus(tmp_path / "k.json", random_kraus_set(1, 3, seed=4))
+    spath = write_state(tmp_path / "s.json", 1, "pure", [[0.6, 0.0], [0.0, 0.8]])
+    assert main(["simulate", kpath, spath, "--method", method]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == PADDING_WARNING
+    assert "PASS" in captured.out
+
+
+ONE_LINE_FAILURES = [
+    # a Kraus operator of spectral norm 2 has no contraction dilation
+    "synth {norm2} --no-validate --method svd --out {d}/c.txt",
+    "synth {norm2} --no-validate --method sznagy --out {d}/c.txt",
+    "simulate {norm2} {state} --no-validate --method svd",
+    "simulate {norm2} {state} --no-validate --method sznagy",
+    "synth {ident} --out {d}/missing/c.txt",
+    "synth {ident} --out {d}/c.txt --metrics {d}/missing/r.json",
+]
+
+
+@pytest.mark.parametrize("cmd", ONE_LINE_FAILURES)
+def test_input_failures_are_one_line(tmp_path, capsys, cmd):
+    norm2 = tmp_path / "norm2.json"
+    norm2.write_text(json.dumps({"dim": 2, "operators": [[[[2, 0], [0, 0]], [[0, 0], [2, 0]]]]}))
+    files = {
+        "d": tmp_path,
+        "norm2": norm2,
+        "ident": write_kraus(tmp_path / "k.json", identity_set()),
+        "state": write_state(tmp_path / "s.json", 1, "pure", [[1, 0], [0, 0]]),
+    }
+    assert main(cmd.format(**files).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_simulate_out_of_memory_is_one_line(tmp_path):
-    # n=2, m=16, l=4 fanout needs a 15-qubit (16 GiB) density; under a 2 GiB
-    # address-space limit that allocation fails, and the CLI must say so in
-    # one line with exit code 1
+    # n=2, m=16, l=4 fanout needs a 15-qubit (16 GiB) density; the 12-qubit
+    # factor limit refuses it before allocating (the 2 GiB address-space
+    # limit keeps a missed check from taking the host's memory), and the
+    # CLI must say so in one line with exit code 1
     kpath = write_kraus(tmp_path / "k.json", random_kraus_set(2, 16, seed=1))
     spath = write_state(tmp_path / "s.json", 2, "pure", [[0.5, 0.0]] * 4)
     code = (
@@ -278,7 +345,19 @@ def test_simulate_out_of_memory_is_one_line(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "12 live qubits" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_memory_error_exits_semantic(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(simulator, "run", exhausted)
+    kpath = write_kraus(tmp_path / "k.json", identity_set())
+    spath = write_state(tmp_path / "s.json", 1, "pure", [[1.0, 0.0], [0.0, 0.0]])
+    assert main(["simulate", kpath, spath, "--method", "sznagy"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 16.0 GiB\n"
 
 
 def test_simulation_error_exits_semantic(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oqsynth.costmodel import (
+    CostReport,
     combined_cost,
     dilation_cost,
     mixer_cost,
@@ -22,9 +23,11 @@ class TestDilationCost:
         assert c.depth == c.cnot
         assert c.uncounted_cnot_bound == pytest.approx(math.log2(64) ** 2 * 4)
 
-    def test_stinespring_pads_operator_count(self):
-        # m = 3 pads to 4 blocks
-        c = dilation_cost("stinespring", 1, m=3)
+    def test_stinespring_needs_power_of_two_m(self):
+        # the count is padded once, at the command-line boundary, never here
+        with pytest.raises(ValueError, match="m = 3 is not a power of two"):
+            dilation_cost("stinespring", 1, m=3)
+        c = dilation_cost("stinespring", 1, m=4)
         assert c.cnot == pytest.approx(4 * 4 - 4 * 2 / 24)
 
     def test_sznagy_ungrouped(self):
@@ -85,6 +88,35 @@ class TestCombinedCost:
         assert r.success_probability == 1.0
         assert r.expected_shots == 1.0
         assert r.qubit_count == 6
+
+    @pytest.mark.parametrize("mode", ["shared", "fanout"])
+    @pytest.mark.parametrize("l", [1, 3, 4])
+    def test_stinespring_is_the_one_branch_case(self, l, mode):
+        # one isometry block and no mixer, whatever the group size
+        b = dilation_cost("stinespring", 2, m=16)
+        want = CostReport(
+            method="stinespring",
+            n=2,
+            m=16,
+            group_size=1,
+            ancilla_mode=mode,
+            depth=b.depth,
+            cnot_count=b.cnot,
+            qubit_count=6,
+            success_probability=1.0,
+            expected_shots=1.0,
+            dilation_cnot=b.cnot,
+            dilation_depth=b.depth,
+            uncounted_cnot_bound=b.uncounted_cnot_bound,
+            notes="deterministic; single circuit call",
+        )
+        got = combined_cost("stinespring", 2, 16, group_size=l, mode=mode)
+        assert repr(got.to_dict()) == repr(want.to_dict())
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_system_without_qubits(self, n):
+        with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
+            combined_cost("sznagy", n, 4)
 
     def test_svd_probabilities(self):
         r1 = combined_cost("svd", 2, 16, group_size=1)

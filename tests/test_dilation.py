@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqsynth.channel import random_kraus_set, validate_cptp
+from oqsynth.channel import pad_to_power_of_two, random_kraus_set, validate_cptp
 from oqsynth.dilation import (
     HADAMARD,
     NotContractionError,
@@ -68,9 +68,9 @@ class TestStinespring:
         assert max_abs(dagger(v) @ v - np.eye(4)) <= 1e-10
 
     def test_block_rows_equal_operators(self):
-        k = random_kraus_set(1, 3, seed=5)
+        k = pad_to_power_of_two(random_kraus_set(1, 3, seed=5))
         v = stinespring_isometry(k)
-        assert v.shape == (8, 2)  # padded from 3 to 4 operators
+        assert v.shape == (8, 2)  # 2^k * d rows: padded from 3 to 4 operators
         for j, m in enumerate(k.operators):
             assert max_abs(v[2 * j : 2 * j + 2] - m) == 0.0
         assert max_abs(v[6:8]) == 0.0

@@ -444,23 +444,26 @@ def test_fused_cswap_matches_dense_oracle(name, pure):
 
 
 def test_fused_cswap_output_width_is_checked_first():
-    # kept control plus two kept registers: 7 output qubits over a limit of 6
-    regs, gates, _ = FUSED_CASES["two-pairs-control-kept-ry"]
-    c = circuit_of(gates, 7, inputs=regs)
+    # kept control plus two kept 7-qubit registers: 15 output qubits over the
+    # 12-qubit factor limit
+    regs = [tuple(range(7)), tuple(range(7, 14))]
+    c = circuit_of([ry(14, 1.1), multi_target_cswap_gate(14, [(0, 7), (6, 13)])], 15, inputs=regs)
     rng = np.random.default_rng(40)
-    with pytest.raises(SimulationError, match="6 live qubits"):
-        run(c, [random_density(rng, 8), random_density(rng, 8)], max_qubits=6)
+    with pytest.raises(SimulationError, match="12 live qubits"):
+        run(c, [random_density(rng, 128), random_density(rng, 128)])
 
 
 def test_fused_cswap_einsum_label_limit():
-    # ten 3-qubit registers, every target wire in its own register: 30 kept
-    # wires need 60 einsum labels, over numpy's 52
-    regs = [tuple(range(3 * i, 3 * i + 3)) for i in range(10)]
-    pairs = [(3 * i, 3 * (i + 5)) for i in range(5)]
-    c = circuit_of([h(30), multi_target_cswap_gate(30, pairs)], 31, inputs=regs)
+    # fourteen 3-qubit registers with every wire paired: 42 wires, of which
+    # 11 are kept, need 53 einsum labels, over numpy's 52, while the output
+    # stays inside the factor limit
+    regs = [tuple(range(3 * i, 3 * i + 3)) for i in range(14)]
+    pairs = [(w, w + 21) for w in range(21)]
+    gates = [h(42), multi_target_cswap_gate(42, pairs), trace_out((42,) + tuple(range(11, 42)))]
+    c = circuit_of(gates, 43, inputs=regs)
     rho = np.eye(8, dtype=complex) / 8
     with pytest.raises(SimulationError, match="einsum labels"):
-        run(c, rho, max_qubits=64)
+        run(c, rho)
 
 
 def traced_peak(fn):
@@ -487,7 +490,7 @@ def test_wide_shared_mixers_verify_in_small_memory(n, m, l, method):
 
 def test_width_checked_before_merging():
     # n=2, m=16, l=4 fanout merges a 5- and a 10-qubit factor into 15 qubits,
-    # a 16 GiB density; the check has to fire before that kron
+    # a 16 GiB density; the 12-qubit check has to fire before that kron
     k = random_kraus_set(2, 16, seed=42)
     c = assemble_simulation_circuit(k, "svd", group_size=4, mode="fanout")
     rho = np.eye(4, dtype=complex) / 4
@@ -495,12 +498,12 @@ def test_width_checked_before_merging():
 
     def attempt():
         try:
-            run(c, rho, max_qubits=14)
+            run(c, rho)
         except SimulationError as exc:
             errors.append(exc)
 
     peak = traced_peak(attempt)
-    assert errors and "14 live qubits" in str(errors[0])
+    assert errors and "12 live qubits" in str(errors[0])
     assert peak < 64 << 20
 
 
