@@ -108,7 +108,7 @@ def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
 
     Raises :class:`NotTracePreservingError` when the completeness sum
     deviates from the identity by more than ``tol``,
-    :class:`DimensionMismatchError` for ragged or non-square input and
+    :class:`DimensionMismatchError` for ragged, non-square or 1x1 input and
     :class:`NotPowerOfTwoError` when the dimension is not a qubit count.
     """
     mats = [np.array(op, dtype=complex) for op in ops]
@@ -120,6 +120,8 @@ def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
             raise DimensionMismatchError(
                 f"all operators must be {d}x{d}, got {m.shape}"
             )
+    if d < 2:
+        raise DimensionMismatchError(f"dimension {d} has no qubit; a Kraus set needs dim >= 2")
     if not is_power_of_two(d):
         raise NotPowerOfTwoError(f"dimension {d} is not a power of two")
     total = sum(dagger(m) @ m for m in mats)

@@ -17,19 +17,36 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import costmodel
 from .channel import KrausSet, NotPowerOfTwoError, group_kraus, is_power_of_two
-from .costmodel import format_float
+from .costmodel import format_float, multi_target_cswap_cnots, multi_target_cswap_depth
 from .dilation import stinespring_isometry, svd_dilation, sznagy_unitary
 from .linalg import complete_isometry, pairs_to_matrix
 
-ELEMENTARY = ("H", "T", "TDG", "RZ", "RY", "CNOT")
-MARKERS = ("POSTSELECT", "TRACE_OUT")
-GATE_KINDS = ELEMENTARY + ("OPAQUE_UNITARY", "MULTI_TARGET_CSWAP") + MARKERS
+# kind -> (qubit count, None for one or more or, for a CSWAP, 1 + 2 * n_targets;
+# the one field it carries; its (depth, CNOT) weights, None where they vary)
+_SHAPES = {
+    **dict.fromkeys(("H", "T", "TDG"), (1, None, (1.0, 0.0))),
+    **dict.fromkeys(("RZ", "RY"), (1, "theta", (1.0, 0.0))),
+    "CNOT": (2, None, (1.0, 1.0)),
+    "OPAQUE_UNITARY": (None, "matrix_id", None),
+    "MULTI_TARGET_CSWAP": (None, "n_targets", None),
+    "POSTSELECT": (1, "outcome", (0.0, 0.0)),
+    "TRACE_OUT": (None, None, (0.0, 0.0)),
+}
+GATE_KINDS = tuple(_SHAPES)
+# carried field -> the test its value must pass
+_VALID = {
+    "theta": math.isfinite,
+    "matrix_id": re.compile(r"[A-Za-z0-9_]+").fullmatch,  # one note value: no ",", "=" or space
+    "outcome": lambda outcome: outcome in (0, 1),
+    "n_targets": lambda n_t: n_t >= 1,
+}
 
 
 class CircuitError(Exception):
@@ -50,24 +67,48 @@ class UnsupportedGateError(CircuitError):
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate; its kind fixes the qubit count, the one field it carries and the
+    weights (see ``_SHAPES`` and ``_VALID``), except that an OPAQUE_UNITARY gives
+    its own: finite, depth >= 1 and CNOT >= 0. Any other shape raises CircuitError."""
+
     kind: str
     qubits: tuple[int, ...]
     theta: float | None = None
     matrix_id: str | None = None
     outcome: int | None = None
     n_targets: int | None = None
-    depth_weight: float = 1.0
-    cnot_weight: float = 0.0
+    depth_weight: float | None = None
+    cnot_weight: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _SHAPES:
             raise UnsupportedGateError(f"unknown gate kind {self.kind!r}")
+        arity, carried, weights = _SHAPES[self.kind]
         if len(set(self.qubits)) != len(self.qubits):
             raise QubitCollisionError(f"repeated qubit in {self.kind} {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise CircuitError("negative qubit index")
-        if self.kind in ("RZ", "RY") and self.theta is None:
-            raise CircuitError(f"{self.kind} needs a rotation angle")
+        for name, valid in _VALID.items():
+            v = getattr(self, name)
+            if (v is None) == (name == carried):
+                raise CircuitError(f"{self.kind} {'needs' if v is None else 'takes no'} {name}")
+            if name == carried and not valid(v):
+                raise CircuitError(f"{self.kind} {name} {v!r} is out of range")
+        if carried == "n_targets":
+            n_t = self.n_targets
+            arity = 1 + 2 * n_t
+            weights = multi_target_cswap_depth(n_t), multi_target_cswap_cnots(n_t)
+        if len(self.qubits) != arity if arity else not self.qubits:
+            raise CircuitError(f"{self.kind} takes {arity or 'one or more'} qubits: {self.qubits}")
+        if weights is None:
+            d, c = self.depth_weight, self.cnot_weight
+            if d is None or c is None or not (1 <= d < math.inf and 0 <= c < math.inf):
+                raise CircuitError(f"opaque weights need finite depth >= 1, CNOT >= 0: {d}, {c}")
+            return
+        for name, value in zip(("depth_weight", "cnot_weight"), weights):
+            if getattr(self, name) not in (None, value):
+                raise CircuitError(f"{self.kind} has {name} {value}, not {getattr(self, name)}")
+            object.__setattr__(self, name, value)
 
 
 def h(q: int) -> Gate:
@@ -91,14 +132,12 @@ def ry(q: int, theta: float) -> Gate:
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target), cnot_weight=1.0)
+    return Gate("CNOT", (control, target))
 
 
 def opaque_unitary(
     qubits, matrix_id: str, depth_weight: float, cnot_weight: float
 ) -> Gate:
-    if depth_weight < 1.0:
-        raise CircuitError("opaque depth weight must be >= 1")
     return Gate(
         "OPAQUE_UNITARY",
         tuple(qubits),
@@ -111,25 +150,16 @@ def opaque_unitary(
 def multi_target_cswap_gate(control: int, pairs) -> Gate:
     """Logical shared-control multi-target CSWAP (exact matrix semantics)."""
     pairs = [tuple(p) for p in pairs]
-    n_t = len(pairs)
     qubits = (control,) + tuple(a for a, _ in pairs) + tuple(b for _, b in pairs)
-    return Gate(
-        "MULTI_TARGET_CSWAP",
-        qubits,
-        n_targets=n_t,
-        depth_weight=costmodel.multi_target_cswap_depth(n_t),
-        cnot_weight=costmodel.multi_target_cswap_cnots(n_t),
-    )
+    return Gate("MULTI_TARGET_CSWAP", qubits, n_targets=len(pairs))
 
 
 def postselect(q: int, outcome: int) -> Gate:
-    if outcome not in (0, 1):
-        raise CircuitError("post-selection outcome must be 0 or 1")
-    return Gate("POSTSELECT", (q,), outcome=outcome, depth_weight=0.0)
+    return Gate("POSTSELECT", (q,), outcome=outcome)
 
 
 def trace_out(qubits) -> Gate:
-    return Gate("TRACE_OUT", tuple(qubits), depth_weight=0.0)
+    return Gate("TRACE_OUT", tuple(qubits))
 
 
 @dataclass
@@ -149,7 +179,7 @@ class Circuit:
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
 
     def add(self, gate: Gate) -> None:
-        if gate.qubits and max(gate.qubits) >= self.num_qubits:
+        if max(gate.qubits) >= self.num_qubits:
             raise CircuitError(
                 f"gate {gate.kind} touches qubit {max(gate.qubits)} "
                 f"outside register of {self.num_qubits}"
@@ -167,7 +197,7 @@ class Circuit:
         """Weighted layered depth: per-qubit busy time under ASAP scheduling."""
         busy = [0.0] * self.num_qubits
         for g in self.gates:
-            if g.depth_weight == 0.0 or not g.qubits:
+            if g.depth_weight == 0.0:
                 continue
             start = max(busy[q] for q in g.qubits)
             for q in g.qubits:
@@ -190,8 +220,6 @@ class Circuit:
 
 
 def cswap_elementary(control: int, a: int, b: int) -> list[Gate]:
-    if len({control, a, b}) != 3:
-        raise QubitCollisionError("controlled-SWAP needs three distinct qubits")
     c = control
     return [
         cnot(b, a),
@@ -231,9 +259,6 @@ def multi_target_cswap(
     n_t = len(pairs)
     if n_t == 0:
         return []
-    flat = [control] + [q for p in pairs for q in p]
-    if len(set(flat)) != len(flat):
-        raise QubitCollisionError(f"qubits overlap in multi-target CSWAP: {flat}")
     if n_t == 1:
         return cswap_elementary(control, pairs[0][0], pairs[0][1])
     if mode == "shared":
@@ -246,8 +271,9 @@ def multi_target_cswap(
             f"fanout over {n_t} pairs needs {n_t - 1} fresh ancillas, got {len(ancillas)}"
         )
     chain = [control] + list(ancillas[: n_t - 1])
-    if len(set(chain + flat[1:])) != len(chain) + len(flat) - 1:
-        raise QubitCollisionError("fanout ancillas overlap the target pairs")
+    wires = chain + [q for p in pairs for q in p]
+    if len(set(wires)) != len(wires):
+        raise QubitCollisionError(f"qubits overlap in fanout CSWAP: {wires}")
     gates: list[Gate] = []
     # doubling tree: after round r the first 2**r chain qubits are entangled
     filled = 1
@@ -323,8 +349,9 @@ def build_mixer(
         raise CircuitError("state width must be at least one qubit")
     if weights is not None:
         weights = [float(x) for x in weights]
-        if len(weights) != n_states or any(x < 0 for x in weights) or sum(weights) <= 0:
-            raise CircuitError("weights must be a non-negative vector per state")
+        finite = all(0 <= x < math.inf for x in weights)
+        if len(weights) != n_states or not finite or not sum(weights) > 0:
+            raise CircuitError("weights must be a finite non-negative vector per state")
         if len(set(weights)) == 1:
             weights = None
 
@@ -495,24 +522,30 @@ def export_circuit(circ: Circuit, fmt: str = "native-text") -> str:
     raise UnsupportedGateError(f"unknown export format {fmt!r}")
 
 
+# note key -> (Gate field, type). A line's notes follow " # ": the field its kind
+# carries, other than theta, and the weights where the kind does not fix them.
+_NOTES = {
+    "id": ("matrix_id", str),
+    "outcome": ("outcome", int),
+    "n_targets": ("n_targets", int),
+    "depth_weight": ("depth_weight", float),
+    "cnot_weight": ("cnot_weight", float),
+}
+
+
 def _gate_line(g: Gate) -> str:
+    _, carried, weights = _SHAPES[g.kind]
+    written = (carried,) if weights else (carried, "depth_weight", "cnot_weight")
+    notes = []
+    for key, (name, typ) in _NOTES.items():
+        if name in written:
+            v = getattr(g, name)
+            notes.append(f"{key}={format_float(v) if typ is float else v}")
     parts = ["GATE", g.kind] + [f"q{q}" for q in g.qubits]
     if g.theta is not None:
         parts.append(f"theta={format_float(g.theta)}")
-    notes = []
-    if g.matrix_id is not None:
-        notes.append(f"id={g.matrix_id}")
-    if g.outcome is not None:
-        notes.append(f"outcome={g.outcome}")
-    if g.n_targets is not None:
-        notes.append(f"n_targets={g.n_targets}")
-    if g.kind == "OPAQUE_UNITARY" or g.kind == "MULTI_TARGET_CSWAP":
-        notes.append(f"depth_weight={format_float(g.depth_weight)}")
-        notes.append(f"cnot_weight={format_float(g.cnot_weight)}")
     line = " ".join(parts)
-    if notes:
-        line += " # " + ",".join(notes)
-    return line
+    return line + " # " + ",".join(notes) if notes else line
 
 
 def _export_native(circ: Circuit) -> str:
@@ -553,17 +586,14 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
             elif tokens[0] == "GATE":
                 circ.add(_parse_gate(ln, num_qubits))
             else:
-                raise CircuitError(f"unrecognized line: {ln}")
-        except (IndexError, KeyError, ValueError) as exc:
+                raise ValueError("not a REGISTER, INPUT or GATE line")
+        except (CircuitError, IndexError, KeyError, ValueError) as exc:
             raise CircuitError(f"malformed line {ln!r}: {exc!r}") from exc
     circ.registers = registers
     circ.input_registers = tuple(inputs)
     if matrices:
         circ.matrices = {k: np.asarray(v, dtype=complex) for k, v in matrices.items()}
     return circ
-
-
-_FIXED_ARITY = {"H": 1, "T": 1, "TDG": 1, "RZ": 1, "RY": 1, "CNOT": 2, "POSTSELECT": 1}
 
 
 def _qubits(tokens, num_qubits: int) -> tuple[int, ...]:
@@ -582,48 +612,17 @@ def _qubits(tokens, num_qubits: int) -> tuple[int, ...]:
 
 
 def _parse_gate(ln: str, num_qubits: int) -> Gate:
-    """One GATE line. A wrong qubit count raises CircuitError; a missing or
-    non-numeric field, a token other than a qubit or ``theta=``, or a bad
-    qubit (see :func:`_qubits`) raises IndexError, KeyError or ValueError,
-    which :func:`parse_circuit` reports as CircuitError with the line."""
-    body, _, note = ln.partition(" # ")
-    tokens = body.split()
-    kind = tokens[1]
-    theta = None
-    if tokens[-1].startswith("theta="):
-        theta = float(tokens.pop()[len("theta="):])
-    meta = dict(kv.split("=", 1) for kv in note.split(",")) if note else {}
-    qubits = _qubits(tokens[2:], num_qubits)
-    if len(qubits) != _FIXED_ARITY.get(kind, len(qubits)):
-        raise CircuitError(
-            f"malformed line {ln!r}: {kind} takes {_FIXED_ARITY[kind]} qubit(s), got {len(qubits)}"
-        )
-    if kind in ("H", "T", "TDG"):
-        return Gate(kind, qubits)
-    if kind in ("RZ", "RY"):
-        return Gate(kind, qubits, theta=theta)
-    if kind == "CNOT":
-        return cnot(qubits[0], qubits[1])
-    if kind == "OPAQUE_UNITARY":
-        return opaque_unitary(
-            qubits,
-            meta["id"],
-            depth_weight=float(meta["depth_weight"]),
-            cnot_weight=float(meta["cnot_weight"]),
-        )
-    if kind == "MULTI_TARGET_CSWAP":
-        n_t = int(meta["n_targets"])
-        if n_t < 1 or len(qubits) != 1 + 2 * n_t:
-            raise CircuitError(
-                f"malformed line {ln!r}: n_targets={n_t} needs {1 + 2 * n_t} qubits, "
-                f"got {len(qubits)}"
-            )
-        return multi_target_cswap_gate(qubits[0], zip(qubits[1 : 1 + n_t], qubits[1 + n_t :]))
-    if kind == "POSTSELECT":
-        return postselect(qubits[0], int(meta["outcome"]))
-    if kind == "TRACE_OUT":
-        return trace_out(qubits)
-    raise UnsupportedGateError(f"unknown gate kind {kind!r}")
+    """``Gate(kind, qubits, theta=..., **notes)`` of a GATE line; a stray token or an
+    unknown or repeated note raises an error :func:`parse_circuit` reports with the line."""
+    body, _, comment = ln.partition(" # ")
+    _, kind, *tokens = body.split()
+    notes = [kv.split("=", 1) for kv in comment.split(",")] if comment else []
+    fields = {_NOTES[key][0]: _NOTES[key][1](value) for key, value in notes}
+    if len(fields) != len(notes):
+        raise ValueError("repeated note key")
+    if tokens and tokens[-1].startswith("theta="):
+        fields["theta"] = float(tokens.pop()[len("theta="):])
+    return Gate(kind, _qubits(tokens, num_qubits), **fields)
 
 
 def opaque_sidecar(circ: Circuit) -> str:

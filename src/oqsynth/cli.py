@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,16 +38,6 @@ def _load_json(path: str):
 
 class _InputError(Exception):
     pass
-
-
-def _load_kraus(path: str, validate: bool, tol: float) -> channel.KrausSet:
-    data = _load_json(path)
-    try:
-        return channel.kraus_from_json_dict(data, validate=validate, tol=tol)
-    except NotTracePreservingError:
-        raise
-    except (ChannelError, LinalgError) as exc:
-        raise _InputError(str(exc)) from exc
 
 
 def _load_state(path: str) -> np.ndarray:
@@ -92,7 +83,7 @@ def _assemble(args, kset: channel.KrausSet):
 
 def cmd_validate(args) -> int:
     try:
-        kset = _load_kraus(args.kraus, validate=True, tol=args.tol)
+        kset = channel.kraus_from_json_dict(_load_json(args.kraus), tol=args.tol)
     except NotTracePreservingError as exc:
         print(f"NOT trace preserving: {exc}")
         return EXIT_SEMANTIC
@@ -105,7 +96,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kset = _load_kraus(args.kraus, validate=not args.no_validate, tol=args.tol)
+    data = _load_json(args.kraus)
+    kset = channel.kraus_from_json_dict(data, validate=not args.no_validate, tol=args.tol)
     kset, circ = _assemble(args, kset)
     report = costmodel.combined_cost(
         args.method,
@@ -130,7 +122,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kset = _load_kraus(args.kraus, validate=not args.no_validate, tol=1e-9)
+    kset = channel.kraus_from_json_dict(_load_json(args.kraus), validate=not args.no_validate)
     rho = _load_state(args.state)
     if rho.shape != (kset.dim, kset.dim):
         raise _InputError(
@@ -216,6 +208,14 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
+def tolerance(text: str) -> float:
+    """The ``--tol`` type: a finite float >= 0, since NaN or inf would pass every check."""
+    tol = float(text)
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oqsynth",
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a Kraus JSON file for trace preservation")
     p.add_argument("kraus")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="synthesize a simulation circuit")
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=int, default=1)
     p.add_argument("--mode", choices=costmodel.ANCILLA_MODES, default="shared")
     p.add_argument("--format", choices=["native-text", "qasm-elementary"], default="native-text")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--no-validate", action="store_true")
     p.add_argument("--out", default="circuit.txt")
     p.add_argument("--matrices", default=None, help="sidecar JSON for opaque blocks")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=costmodel.METHODS, default="svd")
     p.add_argument("--group", type=int, default=1)
     p.add_argument("--mode", choices=costmodel.ANCILLA_MODES, default="shared")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--no-validate", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

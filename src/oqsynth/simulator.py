@@ -63,12 +63,10 @@ def _gate_matrix(g: Gate, circuit: Circuit) -> np.ndarray:
     if g.kind == "RY":
         c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if g.kind == "OPAQUE_UNITARY":
-        try:
-            return circuit.matrices[g.matrix_id]
-        except KeyError:
-            raise SimulationError(f"missing matrix for block {g.matrix_id!r}") from None
-    raise SimulationError(f"cannot simulate gate kind {g.kind!r}")
+    try:  # OPAQUE_UNITARY, the one other kind run applies as a matrix
+        return circuit.matrices[g.matrix_id]
+    except KeyError:
+        raise SimulationError(f"missing matrix for block {g.matrix_id!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +206,6 @@ class _Engine:
     def factor_for(self, qubits) -> _Factor:
         """Factor containing all the qubits, merging factors as needed."""
         touching, rest = self._split(qubits)
-        if not touching:
-            raise SimulationError("a gate needs at least one qubit")
         self._check_width(sum(f.k for f in touching))
         merged = touching[0]
         for f in touching[1:]:

@@ -13,6 +13,7 @@ from oqsynth.channel import NotPowerOfTwoError, random_kraus_set, validate_cptp
 from oqsynth.circuit import (
     Circuit,
     CircuitError,
+    Gate,
     MissingAncillasError,
     QubitCollisionError,
     UnsupportedGateError,
@@ -268,6 +269,11 @@ class TestBuildMixer:
         with pytest.raises(NotPowerOfTwoError):
             build_mixer(3, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(CircuitError, match="finite"):
+            build_mixer(2, 1, weights=[bad, 1.0])
+
 
 class TestAssemble:
     def test_stinespring_layout(self):
@@ -468,6 +474,12 @@ MALFORMED_NATIVE = [
     "CIRCUIT num_qubits=4\nINPUT q0 q0",
     "CIRCUIT num_qubits=4\nINPUT q+1",
     "CIRCUIT num_qubits=4\nREGISTER r q1 q1",
+    "CIRCUIT num_qubits=4\nGATE H q0 theta=1",
+    "CIRCUIT num_qubits=4\nGATE H q0 # junk=1",
+    "CIRCUIT num_qubits=4\nGATE RZ q0 theta=nan",
+    "CIRCUIT num_qubits=4\nGATE RZ q0 # theta=1",
+    "CIRCUIT num_qubits=4\nGATE POSTSELECT q0 # outcome=0,outcome=1",
+    "CIRCUIT num_qubits=4\nGATE POSTSELECT q0 # outcome",
 ]
 
 
@@ -475,6 +487,145 @@ MALFORMED_NATIVE = [
 def test_parse_circuit_malformed_line(text):
     with pytest.raises(CircuitError, match=re.escape(repr(text.splitlines()[-1]))):
         parse_circuit(text)
+
+
+OPAQUE = {"matrix_id": "a", "depth_weight": 1.0, "cnot_weight": 0.0}
+OPAQUE_NOTES = "id=a,depth_weight=1,cnot_weight=0"
+
+# (kind, qubits, fields, the same gate as a native line); every one is malformed
+MALFORMED_GATES = [
+    # a wrong qubit count for each kind
+    ("H", (0, 1), {}, "GATE H q0 q1"),
+    ("T", (), {}, "GATE T"),
+    ("TDG", (0, 1), {}, "GATE TDG q0 q1"),
+    ("RZ", (0, 1), {"theta": 1.0}, "GATE RZ q0 q1 theta=1"),
+    ("RY", (), {"theta": 1.0}, "GATE RY theta=1"),
+    ("CNOT", (0,), {}, "GATE CNOT q0"),
+    ("CNOT", (0, 1, 2), {}, "GATE CNOT q0 q1 q2"),
+    ("OPAQUE_UNITARY", (), OPAQUE, f"GATE OPAQUE_UNITARY # {OPAQUE_NOTES}"),
+    ("MULTI_TARGET_CSWAP", (0, 1), {"n_targets": 1}, "GATE MULTI_TARGET_CSWAP q0 q1 # n_targets=1"),
+    (
+        "MULTI_TARGET_CSWAP",
+        (0, 1, 2, 3),
+        {"n_targets": 1},
+        "GATE MULTI_TARGET_CSWAP q0 q1 q2 q3 # n_targets=1",
+    ),
+    ("MULTI_TARGET_CSWAP", (0,), {"n_targets": 0}, "GATE MULTI_TARGET_CSWAP q0 # n_targets=0"),
+    ("POSTSELECT", (0, 1), {"outcome": 0}, "GATE POSTSELECT q0 q1 # outcome=0"),
+    ("TRACE_OUT", (), {}, "GATE TRACE_OUT"),
+    # a field the kind does not carry
+    ("H", (0,), {"theta": 1.0}, "GATE H q0 theta=1"),
+    ("CNOT", (0, 1), {"outcome": 0}, "GATE CNOT q0 q1 # outcome=0"),
+    ("RZ", (0,), {"theta": 1.0, "n_targets": 1}, "GATE RZ q0 theta=1 # n_targets=1"),
+    ("TRACE_OUT", (0,), {"matrix_id": "a"}, "GATE TRACE_OUT q0 # id=a"),
+    ("POSTSELECT", (0,), {"outcome": 0, "theta": 0.0}, "GATE POSTSELECT q0 theta=0 # outcome=0"),
+    # a missing field
+    ("RZ", (0,), {}, "GATE RZ q0"),
+    ("POSTSELECT", (0,), {}, "GATE POSTSELECT q0"),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {"depth_weight": 1.0, "cnot_weight": 0.0},
+        "GATE OPAQUE_UNITARY q0 # depth_weight=1,cnot_weight=0",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {"matrix_id": "a", "depth_weight": 1.0},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=1",
+    ),
+    ("MULTI_TARGET_CSWAP", (0, 1, 2), {}, "GATE MULTI_TARGET_CSWAP q0 q1 q2"),
+    # a non-finite angle or weight, a weight out of range, a bad outcome or id
+    ("RZ", (0,), {"theta": np.nan}, "GATE RZ q0 theta=nan"),
+    ("RY", (0,), {"theta": np.inf}, "GATE RY q0 theta=inf"),
+    ("RY", (0,), {"theta": -np.inf}, "GATE RY q0 theta=-inf"),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "depth_weight": np.nan},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=nan,cnot_weight=0",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "depth_weight": np.inf},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=inf,cnot_weight=0",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "cnot_weight": np.nan},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=1,cnot_weight=nan",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "depth_weight": 0.5},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=0.5,cnot_weight=0",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "cnot_weight": -1.0},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=1,cnot_weight=-1",
+    ),
+    ("POSTSELECT", (0,), {"outcome": 2}, "GATE POSTSELECT q0 # outcome=2"),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "matrix_id": "a,b"},
+        "GATE OPAQUE_UNITARY q0 # id=a,b,depth_weight=1,cnot_weight=0",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "matrix_id": ""},
+        "GATE OPAQUE_UNITARY q0 # id=,depth_weight=1,cnot_weight=0",
+    ),
+    # weights other than the kind's
+    (
+        "MULTI_TARGET_CSWAP",
+        (0, 1, 2),
+        {"n_targets": 1, "depth_weight": 15.0},
+        "GATE MULTI_TARGET_CSWAP q0 q1 q2 # n_targets=1,depth_weight=15,cnot_weight=9",
+    ),
+    (
+        "MULTI_TARGET_CSWAP",
+        (0, 1, 2, 3, 4),
+        {"n_targets": 2, "cnot_weight": 9.0},
+        "GATE MULTI_TARGET_CSWAP q0 q1 q2 q3 q4 # n_targets=2,depth_weight=20,cnot_weight=9",
+    ),
+    ("CNOT", (0, 1), {"cnot_weight": 2.0}, "GATE CNOT q0 q1 # cnot_weight=2"),
+    ("TRACE_OUT", (0,), {"depth_weight": 1.0}, "GATE TRACE_OUT q0 # depth_weight=1"),
+    # an unknown kind
+    ("SWAP", (0, 1), {}, "GATE SWAP q0 q1"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,qubits,fields,line", MALFORMED_GATES, ids=[row[-1] for row in MALFORMED_GATES]
+)
+def test_malformed_gate_is_refused_by_gate_and_parser(kind, qubits, fields, line):
+    with pytest.raises(CircuitError):
+        Gate(kind, qubits, **fields)
+    with pytest.raises(CircuitError, match=re.escape(repr(line))):
+        parse_circuit(f"CIRCUIT num_qubits=8\n{line}")
+
+
+def test_kind_fills_in_the_weights():
+    cswap = multi_target_cswap_gate(0, [(1, 3), (2, 4)])
+    weights = {
+        h(0): (1.0, 0.0),
+        rz(0, 0.5): (1.0, 0.0),
+        cnot(0, 1): (1.0, 1.0),
+        postselect(0, 1): (0.0, 0.0),
+        trace_out((0, 1)): (0.0, 0.0),
+        cswap: (costmodel.multi_target_cswap_depth(2), costmodel.multi_target_cswap_cnots(2)),
+    }
+    for g, want in weights.items():
+        assert (g.depth_weight, g.cnot_weight) == want
+    # the kind's own weights may be given, as a native line gives a CSWAP's
+    assert Gate(cswap.kind, cswap.qubits, n_targets=2, depth_weight=20.0, cnot_weight=18) == cswap
 
 
 # (text, the line the error must name)

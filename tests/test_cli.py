@@ -390,6 +390,52 @@ def test_synth_refuses_non_finite_matrix(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not mats.exists()
 
 
+DIM_ONE_COMMANDS = ["validate {k}"] + [
+    f"{cmd} --method {method}"
+    for cmd in ("synth {k} --out {d}/c.txt", "simulate {k} {s}")
+    for method in ("stinespring", "sznagy", "svd")
+]
+
+
+@pytest.mark.parametrize("cmd", DIM_ONE_COMMANDS)
+def test_kraus_set_without_qubits_is_refused(tmp_path, capsys, cmd):
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps({"dim": 1, "operators": [[[[1, 0]]]]}))
+    s = write_state(tmp_path / "s.json", 0, "pure", [[1, 0]])
+    assert main(cmd.format(k=k, s=s, d=tmp_path).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension 1 has no qubit; a Kraus set needs dim >= 2\n"
+    assert not (tmp_path / "c.txt").exists()
+
+
+TOL_COMMANDS = ["validate {k}", "synth {k} --out {d}/c.txt", "simulate {k} {s}"]
+TOL_ERRORS = {
+    t: f"tolerance must be finite and >= 0, got {t!r}" for t in ("-1", "nan", "inf", "-inf")
+}
+TOL_ERRORS["x"] = "invalid tolerance value: 'x'"
+
+
+@pytest.mark.parametrize("tol", list(TOL_ERRORS))
+@pytest.mark.parametrize("cmd", TOL_COMMANDS)
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, cmd, tol):
+    k = write_kraus(tmp_path / "k.json", identity_set())
+    s = write_state(tmp_path / "s.json", 1, "pure", [[1, 0], [0, 0]])
+    with pytest.raises(SystemExit) as exc:
+        main(cmd.format(k=k, s=s, d=tmp_path).split() + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: argument --tol: {TOL_ERRORS[tol]}")
+
+
+@pytest.mark.parametrize("cmd", TOL_COMMANDS[:2])
+def test_zero_tol_is_accepted(tmp_path, cmd):
+    k = write_kraus(tmp_path / "k.json", identity_set())
+    s = write_state(tmp_path / "s.json", 1, "pure", [[1, 0], [0, 0]])
+    assert main(cmd.format(k=k, s=s, d=tmp_path).split() + ["--tol", "0"]) == 0
+
+
 @pytest.mark.parametrize("argv", [["--steps", "-1"], ["--steps", "-3"], ["--alpha", "nan"]])
 def test_fmo_bad_input_is_one_line(argv, capsys):
     assert main(["fmo", *argv]) == 2

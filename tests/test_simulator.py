@@ -32,7 +32,7 @@ from oqsynth.simulator import (
     verify_equivalence,
 )
 
-from oqsynth.circuit import Gate, multi_target_cswap_gate, ry
+from oqsynth.circuit import CircuitError, Gate, multi_target_cswap_gate, ry
 from oqsynth.simulator import SimulationError
 
 from test_circuit import gate_matrix  # independent dense embedding oracle
@@ -542,9 +542,8 @@ def test_overlapping_input_registers_are_rejected():
 
 
 def test_gate_on_no_qubits_is_rejected():
-    c = circuit_of([Gate("H", ())], 1, inputs=[(0,)])
-    with pytest.raises(SimulationError):
-        run(c, np.eye(2, dtype=complex) / 2)
+    with pytest.raises(CircuitError):
+        Gate("H", ())
 
 
 # --- one rule for pure states ---------------------------------------------------
