@@ -15,7 +15,9 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 import json
+import json.scanner
 import math
 import re
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from . import costmodel
 from .channel import KrausSet, NotPowerOfTwoError, group_kraus, is_power_of_two
 from .costmodel import format_float, multi_target_cswap_cnots, multi_target_cswap_depth
 from .dilation import stinespring_isometry, svd_dilation, sznagy_unitary
-from .linalg import complete_isometry, pairs_to_matrix
+from .linalg import complete_isometry
 
 # kind -> (qubit count, None for one or more or, for a CSWAP, 1 + 2 * n_targets;
 # the one field it carries; its (depth, CNOT) weights, None where they vary)
@@ -44,8 +46,8 @@ GATE_KINDS = tuple(_SHAPES)
 _VALID = {
     "theta": math.isfinite,
     "matrix_id": re.compile(r"[A-Za-z0-9_]+").fullmatch,  # one note value: no ",", "=" or space
-    "outcome": lambda outcome: outcome in (0, 1),
-    "n_targets": lambda n_t: n_t >= 1,
+    "outcome": lambda outcome: type(outcome) is int and outcome in (0, 1),  # not a bool
+    "n_targets": lambda n_t: type(n_t) is int and n_t >= 1,
 }
 
 
@@ -69,7 +71,8 @@ class UnsupportedGateError(CircuitError):
 class Gate:
     """One gate; its kind fixes the qubit count, the one field it carries and the
     weights (see ``_SHAPES`` and ``_VALID``), except that an OPAQUE_UNITARY gives
-    its own: finite, depth >= 1 and CNOT >= 0. Any other shape raises CircuitError."""
+    its own: finite, depth >= 1 and CNOT >= 0. Qubits, ``outcome`` and ``n_targets``
+    are ints, not bools. Any other shape raises CircuitError."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -84,6 +87,8 @@ class Gate:
         if self.kind not in _SHAPES:
             raise UnsupportedGateError(f"unknown gate kind {self.kind!r}")
         arity, carried, weights = _SHAPES[self.kind]
+        if not all(type(q) is int for q in self.qubits):
+            raise CircuitError(f"qubit indices of {self.kind} must be ints: {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise QubitCollisionError(f"repeated qubit in {self.kind} {self.qubits}")
         if any(q < 0 for q in self.qubits):
@@ -625,6 +630,13 @@ def _parse_gate(ln: str, num_qubits: int) -> Gate:
     return Gate(kind, _qubits(tokens, num_qubits), **fields)
 
 
+@functools.lru_cache(maxsize=8)
+def _template(r: int, c: int) -> str:
+    """The ``%``-template of an r x c matrix, laid out as json's indent=1 form."""
+    row = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * c) + "\n  ]"
+    return "[\n" + ",\n".join([row] * r) + "\n ]"
+
+
 def opaque_sidecar(circ: Circuit) -> str:
     """JSON sidecar mapping matrix ids to [re, im]-pair matrices.
 
@@ -639,7 +651,6 @@ def opaque_sidecar(circ: Circuit) -> str:
     finite float, so the only per-entry work is that shortest-round-trip
     ``repr`` (json's indented encoder runs a Python generator per value).
     """
-    templates: dict[tuple[int, int], str] = {}
     entries = []
     for mid, mat in sorted(circ.matrices.items()):
         a = np.asarray(mat)
@@ -649,27 +660,73 @@ def opaque_sidecar(circ: Circuit) -> str:
             )
         if not np.isfinite(a).all():
             raise CircuitError(f"matrix {mid!r} has a non-finite entry")
-        if a.shape not in templates:
-            r, c = a.shape
-            row = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * c) + "\n  ]"
-            templates[a.shape] = "[\n" + ",\n".join([row] * r) + "\n ]"
         values = np.stack([a.real, a.imag], -1).ravel().tolist()
-        entries.append(f" {json.dumps(mid)}: " + templates[a.shape] % tuple(values))
+        entries.append(f" {json.dumps(mid)}: " + _template(*a.shape) % tuple(values))
     return "{\n" + ",\n".join(entries) + "\n}" if entries else "{}"
 
 
+_NUMBER = b"0123456789+-.eE"
+_SPACE = b" \t\n\r"  # json's whitespace
+_STRUCTURE_TO_SPACE = bytes.maketrans(b"[],", b"   ")
+
+
+@functools.lru_cache(maxsize=8)
+def _skeleton(r: int, c: int) -> bytes:
+    """What :func:`_template` leaves once its numbers and whitespace are removed."""
+    return _template(r, c).replace("%r", "").encode().translate(None, _SPACE)
+
+
+def _read_matrix(text_and_start, scan_once):
+    """json's ``parse_array`` hook: the array opening at ``text[start - 1]`` as one
+    r x c matrix, and the index just past it.
+
+    The array ends at the last ``]`` before the next ``"`` or ``}``. Without its
+    numbers and whitespace it must be ``_skeleton(r, c)``, and it must hold
+    2 r c number tokens, each read by one ``np.array`` pass."""
+    text, start = text_and_start
+    quote = text.find('"', start)
+    stop = len(text) if quote < 0 else quote
+    brace = text.find("}", start, stop)
+    end = text.rfind("]", start, stop if brace < 0 else brace) + 1
+    body = text[start - 1 : end].encode("ascii")
+    skeleton = body.translate(None, _NUMBER + _SPACE)
+    c = max(skeleton.find(b"]]") // 4, 1)  # a row is "[" + "[,]," * (c - 1) + "[,]]"
+    r = max((len(skeleton) - 1) // (4 * c + 2), 1)
+    if skeleton != _skeleton(r, c):
+        raise ValueError(f"the array at char {start - 1} is not a grid of [re, im] pairs")
+    tokens = body.translate(_STRUCTURE_TO_SPACE).split()
+    if len(tokens) != 2 * r * c:
+        raise ValueError(f"the {r} x {c} matrix at char {start - 1} holds {len(tokens)} numbers")
+    values = np.array(tokens, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"the matrix at char {start - 1} has a non-finite entry")
+    # each [re, im] pair reinterpreted in place: bit-exact, signed zeros kept
+    return values.view(complex).reshape(r, c), end
+
+
 def parse_sidecar(text: str) -> dict[str, np.ndarray]:
-    """Inverse of :func:`opaque_sidecar`; malformed input raises CircuitError."""
+    """Inverse of :func:`opaque_sidecar`; malformed input raises CircuitError.
+
+    The object follows json's rules (escapes, whitespace, duplicate keys: the last
+    wins); each value must be a non-empty r x c grid of ``[re, im]`` pairs, read
+    bit-exact. Numbers are read with ``float()``'s grammar, which also takes
+    ``+1``, ``01``, ``.5`` and ``1.`` (JSON forbids them; the value is the same);
+    non-finite values, JSON strings and booleans are refused.
+    """
+    decoder = json.JSONDecoder()
+    decoder.parse_array = _read_matrix
+    # the C scanner ignores the parse_array hook; the Python one calls it
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
     try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise CircuitError(f"sidecar is not JSON: {exc}") from exc
+        raw = decoder.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise CircuitError(f"malformed sidecar: {exc}") from exc
     if not isinstance(raw, dict):
         raise CircuitError(f"sidecar must be a JSON object, got {type(raw).__name__}")
-    try:
-        return {mid: pairs_to_matrix(rows) for mid, rows in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise CircuitError(f"malformed sidecar matrix: {exc}") from exc
+    bad = [mid for mid, value in raw.items() if not isinstance(value, np.ndarray)]
+    if bad:
+        raise CircuitError(f"malformed sidecar: {bad[0]!r} is not a matrix")
+    return raw
 
 
 _QASM_NAMES = {"H": "h", "T": "t", "TDG": "tdg", "RZ": "rz", "RY": "ry", "CNOT": "cx"}

@@ -8,6 +8,7 @@ hidden globals.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,11 +103,18 @@ def pairs_to_matrix(rows) -> np.ndarray:
     """Inverse of :func:`matrix_to_pairs`.
 
     Raises ``ValueError`` unless ``rows`` is an r x c grid of finite
-    ``[re, im]`` pairs.
+    ``[re, im]`` pairs of numbers: numpy would read a string or a bool as one.
     """
-    a = np.asarray(rows, dtype=float)
+    try:
+        a = np.asarray(rows, dtype=float)
+    except OverflowError as exc:  # an int literal beyond the float range
+        raise ValueError(f"matrix entry out of range: {exc}") from exc
     if a.ndim != 3 or a.shape[2] != 2:
         raise ValueError(f"expected rows of [re, im] pairs, got shape {a.shape}")
+    kinds = set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+    bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, (int, float)))
+    if bad:
+        raise ValueError(f"a matrix entry of type {bad[0]} is not a number")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     # reinterpret each [re, im] pair in place: bit-exact, signed zeros kept

@@ -599,6 +599,16 @@ MALFORMED_GATES = [
     ("TRACE_OUT", (0,), {"depth_weight": 1.0}, "GATE TRACE_OUT q0 # depth_weight=1"),
     # an unknown kind
     ("SWAP", (0, 1), {}, "GATE SWAP q0 q1"),
+    # a qubit, outcome or target count that equals an int but is not one
+    ("POSTSELECT", (0,), {"outcome": True}, "GATE POSTSELECT q0 # outcome=True"),
+    (
+        "MULTI_TARGET_CSWAP",
+        (0, 1, 2),
+        {"n_targets": 1.0},
+        "GATE MULTI_TARGET_CSWAP q0 q1 q2 # n_targets=1.0",
+    ),
+    ("H", (True,), {}, "GATE H qTrue"),
+    ("H", (0.0,), {}, "GATE H q0.0"),
 ]
 
 
@@ -647,6 +657,62 @@ def test_parse_circuit_bounds_every_qubit_by_the_header(text, bad):
 
 @pytest.mark.parametrize("text", ["[]", "null", '"text"', "", "not json", "{"])
 def test_parse_sidecar_raises_only_circuit_error(text):
+    with pytest.raises(CircuitError):
+        parse_sidecar(text)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.text(max_size=6), FINITE_MATRICES, max_size=3))
+def test_parse_sidecar_reads_every_layout_bit_exact(matrices):
+    payload = {mid: matrix_to_pairs(m) for mid, m in matrices.items()}
+    spaced = json.dumps(payload, indent="\t", separators=(" ,\r\n", " : "), ensure_ascii=False)
+    for text in (sidecar_of(matrices), json.dumps(payload), spaced):
+        back = parse_sidecar(text)
+        assert back.keys() == matrices.keys()
+        for mid, m in matrices.items():
+            assert back[mid].shape == m.shape
+            assert back[mid].tobytes() == m.tobytes()
+
+
+MALFORMED_SIDECARS = {
+    "ragged row": '{"a": [[[1, 0], [2, 0]], [[3, 0]]]}',
+    "3-element pair": '{"a": [[[1, 0, 0]]]}',
+    "1-element pair": '{"a": [[[1]]]}',
+    "empty matrix": '{"a": []}',
+    "empty row": '{"a": [[]]}',
+    "bare number": '{"a": 1}',
+    "NaN": '{"a": [[[NaN, 0]]]}',
+    "Infinity": '{"a": [[[0, -Infinity]]]}',
+    "overflow to inf": '{"a": [[[1e999, 0]]]}',
+    "int beyond the float range": '{"a": [[[1' + "0" * 400 + ', 0]]]}',
+    "quoted number": '{"a": [[["1", 0]]]}',
+    "true": '{"a": [[[1, 0]], [[true, 0]]]}',
+    "null": '{"a": [[[null, 0]]]}',
+    "not a number": '{"a": [[[1e, 0]]]}',
+    "missing number": '{"a": [[[, 0]]]}',
+    "nested object": '{"a": {"b": [[[1, 0]]]}}',
+    "object in a matrix": '{"a": [[{"b": 1}]]}',
+    "missing comma in a pair": '{"a": [[[1 0]]]}',
+    "missing comma between pairs": '{"a": [[[1, 0] [2, 0]]]}',
+    "missing comma between entries": '{"a": [[[1, 0]]] "b": [[[1, 0]]]}',
+    "trailing comma": '{"a": [[[1, 0],]]}',
+    "trailing comma in the object": '{"a": [[[1, 0]]],}',
+    "unclosed matrix": '{"a": [[[1, 0]]',
+    "trailing data": '{"a": [[[1, 0]]]}]',
+    "top-level array": "[[[1, 0]]]",
+    "non-ASCII in a body": '{"a": [[[1, 0\u00a0]]]}',
+    "deep nesting": '{"a":' * 100_000,
+}
+
+
+def test_parse_sidecar_reads_numbers_with_float_grammar():
+    # spellings JSON forbids, each with one unambiguous value; "-0" keeps its sign
+    back = parse_sidecar('{"a": [[[+1, 01], [.5, 1.], [-0, 1E+2]]]}')["a"]
+    assert back.tobytes() == np.array([[1 + 1j, 0.5 + 1j, complex(-0.0, 100.0)]]).tobytes()
+
+
+@pytest.mark.parametrize("text", MALFORMED_SIDECARS.values(), ids=MALFORMED_SIDECARS)
+def test_parse_sidecar_refuses_malformed_matrix(text):
     with pytest.raises(CircuitError):
         parse_sidecar(text)
 

@@ -318,6 +318,62 @@ def test_input_failures_are_one_line(tmp_path, capsys, cmd):
     assert "Traceback" not in err
 
 
+# entries numpy would read as numbers: the string "1", false and true
+NOT_NUMBERS = '{"dim": 2, "operators": [[[["1", 0], [0, false]], [[0, 0], [true, 0]]]]}'
+NOT_NUMBER_COMMANDS = [
+    "validate {bad}",
+    "synth {bad} --out {d}/c.txt",
+    "simulate {bad} {state} --method sznagy",
+    "simulate {ident} {bad_pure} --method sznagy",
+    "simulate {ident} {bad_density} --method sznagy",
+]
+
+
+@pytest.mark.parametrize("cmd", NOT_NUMBER_COMMANDS)
+def test_strings_and_bools_are_not_numbers(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.json"
+    bad.write_text(NOT_NUMBERS)
+    files = {
+        "d": tmp_path,
+        "bad": bad,
+        "ident": write_kraus(tmp_path / "k.json", identity_set()),
+        "state": write_state(tmp_path / "s.json", 1, "pure", [[1, 0], [0, 0]]),
+        "bad_pure": write_state(tmp_path / "p.json", 1, "pure", [["1", 0], [0, 0]]),
+        "bad_density": write_state(
+            tmp_path / "r.json", 1, "density", [[[1, 0], [0, 0]], [[0, 0], [False, 0]]]
+        ),
+    }
+    assert main(cmd.format(**files).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "is not a number" in err
+    assert not (tmp_path / "c.txt").exists()
+
+
+@pytest.mark.parametrize("cmd", ["validate {deep}", "simulate {ident} {deep}"])
+def test_deeply_nested_json_is_one_line(tmp_path, capsys, cmd):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    ident = write_kraus(tmp_path / "k.json", identity_set())
+    assert main(cmd.format(deep=deep, ident=ident).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {deep}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["validate {big}", "simulate {ident} {big_state}"])
+def test_int_beyond_float_range_is_one_line(tmp_path, capsys, cmd):
+    huge = 10**400
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "operators": [[[[huge, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+    files = {
+        "big": big,
+        "ident": write_kraus(tmp_path / "k.json", identity_set()),
+        "big_state": write_state(tmp_path / "s.json", 1, "pure", [[huge, 0], [0, 0]]),
+    }
+    assert main(cmd.format(**files).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "out of range" in err
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_simulate_out_of_memory_is_one_line(tmp_path):
     # n=2, m=16, l=4 fanout needs a 15-qubit (16 GiB) density; the 12-qubit
