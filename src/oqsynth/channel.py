@@ -387,7 +387,9 @@ def kraus_to_json_dict(kset: KrausSet) -> dict:
 def kraus_from_json_dict(data: dict, validate: bool = True, tol: float = 1e-9) -> KrausSet:
     """Parse the Kraus JSON object; rejects non-CPTP input unless ``validate=False``."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int:  # 2.9, "2" and true are not sizes
+            raise TypeError(f"dim {dim!r} is not an int")
         mats = [pairs_to_matrix(rows) for rows in data["operators"]]
         for m in mats:
             if m.shape != (dim, dim):

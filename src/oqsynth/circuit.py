@@ -42,9 +42,16 @@ _SHAPES = {
     "TRACE_OUT": (None, None, (0.0, 0.0)),
 }
 GATE_KINDS = tuple(_SHAPES)
+
+
+def _is_real(v) -> bool:
+    """An int or float that is not a bool (a bool would export as 1 or 0)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 # carried field -> the test its value must pass
 _VALID = {
-    "theta": math.isfinite,
+    "theta": lambda theta: _is_real(theta) and math.isfinite(theta),
     "matrix_id": re.compile(r"[A-Za-z0-9_]+").fullmatch,  # one note value: no ",", "=" or space
     "outcome": lambda outcome: type(outcome) is int and outcome in (0, 1),  # not a bool
     "n_targets": lambda n_t: type(n_t) is int and n_t >= 1,
@@ -72,7 +79,8 @@ class Gate:
     """One gate; its kind fixes the qubit count, the one field it carries and the
     weights (see ``_SHAPES`` and ``_VALID``), except that an OPAQUE_UNITARY gives
     its own: finite, depth >= 1 and CNOT >= 0. Qubits, ``outcome`` and ``n_targets``
-    are ints, not bools. Any other shape raises CircuitError."""
+    are ints, and ``theta`` and the weights ints or floats, never bools. Any other
+    shape raises CircuitError."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -107,7 +115,7 @@ class Gate:
             raise CircuitError(f"{self.kind} takes {arity or 'one or more'} qubits: {self.qubits}")
         if weights is None:
             d, c = self.depth_weight, self.cnot_weight
-            if d is None or c is None or not (1 <= d < math.inf and 0 <= c < math.inf):
+            if not (_is_real(d) and _is_real(c) and 1 <= d < math.inf and 0 <= c < math.inf):
                 raise CircuitError(f"opaque weights need finite depth >= 1, CNOT >= 0: {d}, {c}")
             return
         for name, value in zip(("depth_weight", "cnot_weight"), weights):

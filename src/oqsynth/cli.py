@@ -43,7 +43,9 @@ class _InputError(Exception):
 def _load_state(path: str) -> np.ndarray:
     data = _load_json(path)
     try:
-        n = int(data["num_qubits"])
+        n = data["num_qubits"]
+        if type(n) is not int:  # 1.5, "1" and true are not sizes
+            raise TypeError(f"num_qubits {n!r} is not an int")
         kind = data["kind"]
         raw = data["data"]
         if kind == "pure":

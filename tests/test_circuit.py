@@ -609,6 +609,21 @@ MALFORMED_GATES = [
     ),
     ("H", (True,), {}, "GATE H qTrue"),
     ("H", (0.0,), {}, "GATE H q0.0"),
+    # an angle or a weight that is not an int or float, or is a bool
+    ("RZ", (0,), {"theta": "1"}, "GATE RZ q0 theta='1'"),
+    ("RZ", (0,), {"theta": True}, "GATE RZ q0 theta=True"),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "depth_weight": True},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=True,cnot_weight=0",
+    ),
+    (
+        "OPAQUE_UNITARY",
+        (0,),
+        {**OPAQUE, "cnot_weight": "0"},
+        "GATE OPAQUE_UNITARY q0 # id=a,depth_weight=1,cnot_weight='0'",
+    ),
 ]
 
 

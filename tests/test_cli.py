@@ -498,3 +498,28 @@ def test_fmo_bad_input_is_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("steps" if argv[0] == "--steps" else "alpha") in err
+
+
+# sizes that int() would read as 2 or 1
+@pytest.mark.parametrize("dim", [2.9, "2", True])
+@pytest.mark.parametrize("cmd", ["validate {k}", "simulate {k} {s} --method sznagy"])
+def test_kraus_dim_must_be_an_int(tmp_path, capsys, cmd, dim):
+    data = kraus_to_json_dict(identity_set())
+    data["dim"] = dim
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps(data))
+    s = write_state(tmp_path / "s.json", 1, "pure", [[1, 0], [0, 0]])
+    assert main(cmd.format(k=k, s=s).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed Kraus JSON: dim {dim!r} is not an int\n"
+
+
+@pytest.mark.parametrize("num_qubits", [1.5, "1", True])
+def test_state_num_qubits_must_be_an_int(tmp_path, capsys, num_qubits):
+    k = write_kraus(tmp_path / "k.json", identity_set())
+    s = write_state(tmp_path / "s.json", num_qubits, "pure", [[1, 0], [0, 0]])
+    assert main(["simulate", k, s, "--method", "sznagy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed state JSON: num_qubits {num_qubits!r} is not an int\n"

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oqsynth.channel import (
     FMOParams,
@@ -32,7 +34,7 @@ from oqsynth.simulator import (
     verify_equivalence,
 )
 
-from oqsynth.circuit import CircuitError, Gate, multi_target_cswap_gate, ry
+from oqsynth.circuit import CircuitError, Gate, multi_target_cswap_gate, opaque_unitary, ry
 from oqsynth.simulator import SimulationError
 
 from test_circuit import gate_matrix  # independent dense embedding oracle
@@ -560,3 +562,164 @@ def test_zero_pure_state_names_the_norm():
         DensityMatrix.from_pure([0, 0])
     with pytest.raises(ValueError, match="norm"):
         run(circuit_of([h(0)], 1, inputs=[(0,)]), np.array([0.0, np.nan]))
+
+
+# --- isometry factors: engine against a dense U rho U^dag oracle ---------------
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def embed(u, qubits, num_qubits):
+    """Full matrix of ``u`` on ``qubits`` (most significant first); qubit 0 is the LSB."""
+    idx = np.arange(2**num_qubits)
+    sub = sum(((idx >> q) & 1) << (len(qubits) - 1 - i) for i, q in enumerate(qubits))
+    rest = idx & ~sum(1 << q for q in qubits)
+    return np.where(rest[:, None] == rest[None, :], u[sub[:, None], sub[None, :]], 0)
+
+
+def oracle_run(circ, states):
+    """Every gate as a full ``U rho U^dag`` or projector, then the post-selected and
+    traced qubits summed out; returns the normalized state and the kept probability.
+    A post-selected qubit takes no later gate, so projecting it in place is exact.
+    A qubit outside the input registers that no gate touches is not in the output."""
+    n = circ.num_qubits
+    rho = joint_density(circ.input_registers, states, n)
+    gone = set(range(n)).difference(*circ.input_registers, *(g.qubits for g in circ.gates))
+    for g in circ.gates:
+        if g.kind == "TRACE_OUT":
+            gone.update(g.qubits)
+            continue
+        if g.kind == "POSTSELECT":
+            u = embed(np.diag([1.0 - g.outcome, g.outcome]), g.qubits, n)
+            gone.update(g.qubits)
+        elif g.kind == "OPAQUE_UNITARY":
+            u = embed(circ.matrices[g.matrix_id], g.qubits, n)
+        else:
+            u = gate_matrix(g, n)
+        rho = u @ rho @ dagger(u)
+    p = np.trace(rho).real
+    keep = {n - 1 - q for q in range(n) if q not in gone}
+    return partial_trace(rho, [2] * n, keep) / p, p
+
+
+def opaque_circuit(gates, num_qubits, inputs, seed):
+    """``circuit_of`` with a Haar-random opaque block for each qubit tuple in ``gates``."""
+    rng = np.random.default_rng(seed)
+    c = Circuit(num_qubits=num_qubits, input_registers=tuple(inputs))
+    for g in gates:
+        if isinstance(g, tuple):
+            mid = f"u{len(c.matrices)}"
+            c.add_matrix(mid, haar_unitary(rng, 2 ** len(g)))
+            g = opaque_unitary(g, mid, depth_weight=1.0, cnot_weight=0.0)
+        c.add(g)
+    return c
+
+
+def assert_matches_oracle(c, states):
+    want, p_want = oracle_run(c, states)
+    got, p = run(c, states)
+    assert abs(p - p_want) <= 1e-12
+    assert max_abs(got.matrix - want) <= 1e-12
+
+
+@st.composite
+def layered_circuits(draw):
+    """Gates on input and fresh wires in any order, post-selections and traces."""
+    n = draw(st.integers(2, 6))
+    wires = draw(st.permutations(range(n)))
+    held = draw(st.integers(0, n - 1))
+    inner = draw(st.sets(st.integers(1, held - 1), max_size=2)) if held > 1 else set()
+    cuts = sorted(inner | {0, held})
+    regs = [tuple(wires[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([h, t, rz, ry, cnot, "opaque"]))
+        on = draw(st.permutations(range(n)))
+        if kind in (rz, ry):
+            gates.append(kind(on[0], draw(st.floats(-7, 7))))
+        elif kind is cnot:
+            gates.append(cnot(on[0], on[1]))
+        elif kind == "opaque":
+            gates.append(tuple(on[: draw(st.integers(1, min(3, n)))]))
+        else:
+            gates.append(kind(on[0]))
+    # post-select up to two wires after their last gate; trace some of the rest
+    ends = draw(st.permutations(range(n)))
+    n_post = draw(st.integers(0, min(2, n - 1)))
+    for q in ends[:n_post]:
+        used = [i for i, g in enumerate(gates) if q in (g if isinstance(g, tuple) else g.qubits)]
+        at = draw(st.integers(used[-1] + 1 if used else 0, len(gates)))
+        gates.insert(at, postselect(q, draw(st.integers(0, 1))))
+    traced = ends[n_post : n_post + draw(st.integers(0, n - 1 - n_post))]
+    if traced:
+        gates.append(trace_out(traced))
+    return n, regs, gates
+
+
+@settings(deadline=None, max_examples=150)
+@given(layered_circuits(), st.integers(0, 2**32 - 1), st.booleans())
+def test_isometry_factors_match_dense_oracle(shape, seed, pure):
+    n, regs, gates = shape
+    rng = np.random.default_rng(seed)
+    make = haar_density if pure else random_density
+    states = [make(rng, 2 ** len(reg)) for reg in regs]
+    c = opaque_circuit(gates, n, regs, seed)
+    want, p_want = oracle_run(c, states)
+    assume(p_want > 1e-3)
+    got, p = run(c, states)
+    assert abs(p - p_want) <= 1e-12
+    assert max_abs(got.matrix - want) <= 1e-12
+
+
+def test_opaque_block_with_fresh_wires_between_held_wires():
+    # register (0, 2, 4) holds the input; 1 and 3 start fresh inside the block
+    rng = np.random.default_rng(60)
+    gates = [h(3), (4, 3, 2, 1, 0), cnot(1, 4), (3, 1), trace_out((1, 3))]
+    c = opaque_circuit(gates, 5, [(0, 2, 4)], 61)
+    assert_matches_oracle(c, [random_density(rng, 8)])
+
+
+def test_postselected_fresh_wire():
+    # wire 2 starts fresh, is entangled with the input and post-selected on 1;
+    # wire 3 is never touched and post-selected on 0 with probability one
+    rng = np.random.default_rng(62)
+    gates = [ry(2, 0.9), (2, 1, 0), postselect(2, 1), h(0), postselect(3, 0)]
+    c = opaque_circuit(gates, 4, [(0, 1)], 63)
+    assert_matches_oracle(c, [random_density(rng, 4)])
+
+
+def test_gate_on_dense_factor_after_cswap():
+    # the kept control and register 0 leave the CSWAP dense; a one-qubit gate,
+    # a CNOT and an opaque block with a fresh wire then act on that factor
+    rng = np.random.default_rng(64)
+    gates = [
+        ry(4, 0.7),
+        multi_target_cswap_gate(4, [(0, 2), (1, 3)]),
+        h(1),
+        cnot(4, 0),
+        (5, 4, 0),
+        t(5),
+        trace_out((2, 3, 5)),
+    ]
+    c = opaque_circuit(gates, 6, [(0, 1), (2, 3)], 65)
+    assert_matches_oracle(c, [random_density(rng, 4), haar_density(rng, 4)])
+
+
+@pytest.mark.parametrize("method", ["svd", "sznagy"])
+def test_fanout_mixer_matches_channel(method):
+    k = random_kraus_set(2, 4, seed=66)
+    report = verify_equivalence(k, method, group_size=1, mode="fanout", trials=2, seed=9)
+    assert report.worst_residual <= 1e-12
+    assert report.worst_probability_error <= 1e-12
+
+
+def test_svd_peak_memory_stays_near_the_isometry():
+    # n=3, m=16, svd l=16 is one 8-qubit branch holding an 8-column isometry;
+    # two-sided 256 x 256 gate products on its density peaked at 3.4 MB
+    k = random_kraus_set(3, 16, seed=67)
+    c = assemble_simulation_circuit(k, "svd", group_size=16)
+    rho = random_density(np.random.default_rng(68), 8)
+    assert traced_peak(lambda: run(c, rho)) < 2 << 20
