@@ -638,11 +638,23 @@ def _parse_gate(ln: str, num_qubits: int) -> Gate:
     return Gate(kind, _qubits(tokens, num_qubits), **fields)
 
 
+# one [re, im] pair laid out as json's indent=1 form: the literal text of a pair
+# whose parts are both +0.0, and the two ``%r`` slots of any other pair
+_PAIRS = np.array(["   [\n    0.0,\n    0.0\n   ]", "   [\n    %r,\n    %r\n   ]"], dtype=object)
+
+
+def _frame(written: np.ndarray) -> str:
+    """The ``%``-template of a matrix laid out as json's indent=1 form, with
+    slots for the pairs where ``written`` is true."""
+    pairs = _PAIRS[written.view(np.int8)].tolist()  # the two strings, not copies
+    rows = ("  [\n" + ",\n".join(row) + "\n  ]" for row in pairs)
+    return "[\n" + ",\n".join(rows) + "\n ]"
+
+
 @functools.lru_cache(maxsize=8)
 def _template(r: int, c: int) -> str:
-    """The ``%``-template of an r x c matrix, laid out as json's indent=1 form."""
-    row = "  [\n" + ",\n".join(["   [\n    %r,\n    %r\n   ]"] * c) + "\n  ]"
-    return "[\n" + ",\n".join([row] * r) + "\n ]"
+    """The ``%``-template of an r x c matrix whose every pair is written."""
+    return _frame(np.ones((r, c), dtype=bool))
 
 
 def opaque_sidecar(circ: Circuit) -> str:
@@ -650,26 +662,33 @@ def opaque_sidecar(circ: Circuit) -> str:
 
     Byte contract: identical to ``json.dumps(payload, indent=1)`` of the
     payload ``{mid: matrix_to_pairs(m)}`` in sorted id order; finite,
-    non-empty 2-D matrices only. Anything else raises CircuitError before
-    a byte is written (json would write ``NaN``, which :func:`parse_sidecar`
-    rejects, and ``[]``, which the template cannot reproduce).
+    non-empty 2-D complex matrices only. Anything else raises CircuitError
+    before a byte is written (json would write ``NaN``, which
+    :func:`parse_sidecar` rejects, and ``[]``, which the template cannot
+    reproduce).
 
-    Each shape gets one ``%``-template laid out as json's indent=1 form.
-    ``%r`` of a float is ``float.__repr__``, the text json writes for a
-    finite float, so the only per-entry work is that shortest-round-trip
-    ``repr`` (json's indented encoder runs a Python generator per value).
+    Each matrix is one ``%`` fill of a template laid out as json's indent=1
+    form (json's indented encoder runs a Python generator per value). ``%r``
+    of a float is ``float.__repr__``, the text json writes for a finite float,
+    and only the written pairs are formatted: a pair whose two parts are both
+    +0.0 (all 128 bits zero; a -0.0 has its sign bit set) is literal
+    ``0.0, 0.0`` text, as most of a sznagy or svd block is. A matrix with no
+    such pair fills the cached all-slot template of its shape.
     """
     entries = []
     for mid, mat in sorted(circ.matrices.items()):
-        a = np.asarray(mat)
+        a = np.asarray(mat, dtype=complex)
         if a.ndim != 2 or 0 in a.shape:
             raise CircuitError(
                 f"matrix {mid!r} has shape {a.shape}; the sidecar holds non-empty 2-D matrices"
             )
         if not np.isfinite(a).all():
             raise CircuitError(f"matrix {mid!r} has a non-finite entry")
-        values = np.stack([a.real, a.imag], -1).ravel().tolist()
-        entries.append(f" {json.dumps(mid)}: " + _template(*a.shape) % tuple(values))
+        pairs = np.stack([a.real, a.imag], -1)
+        written = pairs.view(np.uint64).any(-1)
+        template = _template(*a.shape) if written.all() else _frame(written)
+        text = template % tuple(pairs[written].ravel().tolist())
+        entries.append(f" {json.dumps(mid)}: " + text)
     return "{\n" + ",\n".join(entries) + "\n}" if entries else "{}"
 
 

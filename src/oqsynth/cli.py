@@ -11,8 +11,10 @@ so values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -63,11 +65,22 @@ def _load_state(path: str) -> np.ndarray:
         raise _InputError(f"malformed state JSON: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_files(*files: tuple[str, str]) -> None:
+    """Write each (path, text) in turn; when one fails, remove the files this
+    call created, so a refused run leaves nothing behind. A path that existed
+    before (a file it overwrote, or a device such as /dev/stdout) is kept."""
+    created = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, text in files:
+            new = not os.path.lexists(path)
+            with open(path, "w", encoding="utf-8") as fh:
+                if new:
+                    created.append(path)
+                fh.write(text)
     except OSError as exc:
+        for done in created:
+            with contextlib.suppress(OSError):
+                os.remove(done)
         raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -108,13 +121,15 @@ def cmd_synth(args) -> int:
         group_size=args.group,
         mode=args.mode,
     )
-    # encode the sidecar first: a matrix it refuses leaves no artefact behind
+    # encode every file before writing any: a matrix or gate the encoders refuse
+    # leaves no artefact behind
     sidecar = circuit.opaque_sidecar(circ) if args.matrices else None
-    _write_text(args.out, circuit.export_circuit(circ, fmt=args.format))
+    files = [(args.out, circuit.export_circuit(circ, fmt=args.format))]
     if sidecar is not None:
-        _write_text(args.matrices, sidecar)
+        files.append((args.matrices, sidecar))
     if args.metrics:
-        _write_text(args.metrics, json.dumps(report.to_dict(), indent=1) + "\n")
+        files.append((args.metrics, json.dumps(report.to_dict(), indent=1) + "\n"))
+    _write_files(*files)
     print(
         f"synthesized {args.method} circuit: qubits={circ.num_qubits} "
         f"depth={format_float(circ.depth())} cnots={format_float(circ.cnot_count())} "
@@ -160,7 +175,7 @@ def cmd_fmo(args) -> int:
         lines.append(",".join(cols))
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        _write_files((args.out, text))
         print(f"wrote {traj.steps + 1} rows to {args.out}")
     else:
         print(text, end="")
@@ -203,7 +218,7 @@ def cmd_cost(args) -> int:
         ]
     text = costmodel.reports_to_csv(reports)
     if args.out:
-        _write_text(args.out, text)
+        _write_files((args.out, text))
         print(f"wrote {len(reports)} rows to {args.out}")
     else:
         print(text, end="")

@@ -455,6 +455,56 @@ def test_sidecar_rejects_non_matrix_shapes(shape):
         sidecar_of({"m": np.ones(shape, dtype=complex)})
 
 
+def from_pairs(pairs) -> np.ndarray:
+    """The complex matrix of an r x c grid of [re, im] pairs, bit for bit."""
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Finite matrices up to 16 x 16 in which a random mask of pairs is zeroed,
+    each zeroed part +0.0 or -0.0."""
+    shape = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)))
+    finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    m = draw(hnp.arrays(np.complex128, shape, elements=finite))
+    zeroed = draw(hnp.arrays(bool, shape))
+    negative = draw(hnp.arrays(bool, shape + (2,)))
+    pairs = np.stack([m.real, m.imag], -1)
+    pairs[zeroed] = np.where(negative[zeroed], -0.0, 0.0)
+    return from_pairs(pairs)
+
+
+def assert_sidecar_round_trip(matrices):
+    text = sidecar_of(matrices)
+    assert text == reference_sidecar(matrices)
+    back = parse_sidecar(text)
+    assert back.keys() == matrices.keys()
+    for mid, m in matrices.items():
+        assert back[mid].shape == m.shape and back[mid].tobytes() == m.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.text(max_size=6), sparse_matrices(), max_size=3))
+def test_sidecar_of_sparse_matrices_with_signed_zeros(matrices):
+    assert_sidecar_round_trip(matrices)
+
+
+ZERO_PAIR_CASES = {
+    "all zero": [[[0.0, 0.0]] * 3] * 2,
+    "zero row": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [0.0, 3.0]]],
+    "(-0.0, 0.0)": [[[-0.0, 0.0]]],
+    "(0.0, -0.0)": [[[0.0, -0.0]]],
+    "(-0.0, -0.0)": [[[-0.0, -0.0]]],
+    "5e-324 beside +0.0": [[[5e-324, 0.0], [0.0, 0.0], [0.0, 5e-324]]],
+    "1 x 1 zero": [[[0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("pairs", ZERO_PAIR_CASES.values(), ids=ZERO_PAIR_CASES)
+def test_sidecar_zero_pairs(pairs):
+    assert_sidecar_round_trip({"m": from_pairs(pairs)})
+
+
 # --- malformed native text ---------------------------------------------------
 
 MALFORMED_NATIVE = [

@@ -446,6 +446,29 @@ def test_synth_refuses_non_finite_matrix(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not mats.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--matrices", "--metrics"])
+def test_synth_failed_write_leaves_no_artefact(tmp_path, capsys, flag):
+    # one unwritable path refuses the run: none of its files stays behind
+    path = write_kraus(tmp_path / "k.json", random_kraus_set(1, 2, seed=3))
+    argv = ["synth", path, "--method", "sznagy"]
+    for name in ("--out", "--matrices", "--metrics"):
+        argv += [name, str((tmp_path / "missing" if name == flag else tmp_path) / name[2:])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+
+
+def test_synth_failed_write_keeps_paths_that_existed(tmp_path):
+    # a path the run did not create (a user's file, a link such as /dev/stdout) is not removed
+    path = write_kraus(tmp_path / "k.json", random_kraus_set(1, 2, seed=3))
+    (tmp_path / "target.txt").write_text("")
+    (tmp_path / "c.txt").symlink_to(tmp_path / "target.txt")
+    out, missing = str(tmp_path / "c.txt"), str(tmp_path / "missing" / "m.json")
+    assert main(["synth", path, "--out", out, "--matrices", missing]) == 2
+    assert (tmp_path / "c.txt").is_symlink() and (tmp_path / "target.txt").exists()
+
+
 DIM_ONE_COMMANDS = ["validate {k}"] + [
     f"{cmd} --method {method}"
     for cmd in ("synth {k} --out {d}/c.txt", "simulate {k} {s}")

@@ -41,6 +41,9 @@ SIDECARS = {
     ("sznagy", 2): "9ef6445e2a9f3b8208904c34415a02f277915de2fbd7d247ab2fbb29183b2f54",
     ("svd", 1): "01af6e01ac1124d4a2887f7dd19fcc51e045bf7aa7d7f5e5870f8681129466cf",
     ("svd", 2): "5219ccf4e4eadbd2279ba73acde65b0cfe026669db97c991d6774833dd40c998",
+    # l = m: one branch, the shapes with the most exact-zero pairs
+    ("sznagy", 8): "8202605ed2102fa9a8cfc6a8f9757595db2f4530c0b4bb64b01f3508e7713417",
+    ("svd", 8): "9190a66c10ceaa30aa7be78143bf68d1cc2b319d7744f756fb5380c5689ea416",
 }
 
 MIXERS = {
