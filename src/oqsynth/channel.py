@@ -83,24 +83,20 @@ class KrausSet:
 class GroupedKrausSet:
     """Kraus operators re-packed in groups of ``group_size`` on an expanded space.
 
-    Each full group stacks ``group_size`` original operators in the first
-    ``dim`` columns of an expanded operator of size ``group_size * dim``; a
-    zero-padded partial group covers any remainder, and one extra operator
-    carrying the identity on the non-initial block restores trace
-    preservation on the expanded space.
+    Each group stacks ``group_size`` original operators in the first ``dim``
+    columns of an expanded operator of size ``group_size * dim``. One last
+    operator carries the identity on the non-initial block and restores trace
+    preservation on the expanded space; at ``group_size == 1`` it is zero.
     """
 
     base: KrausSet
     group_size: int
     expanded_dim: int
     operators: tuple[np.ndarray, ...]
-    includes_identity_block: bool
 
     @property
     def branch_operators(self) -> tuple[np.ndarray, ...]:
-        if self.includes_identity_block:
-            return self.operators[:-1]
-        return self.operators
+        return self.operators[:-1]
 
 
 def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
@@ -191,42 +187,25 @@ def random_kraus_set(num_qubits: int, num_operators: int, seed: int) -> KrausSet
 def group_kraus(kset: KrausSet, group_size: int) -> GroupedKrausSet:
     """Pack ``group_size`` Kraus operators into each expanded operator.
 
-    With m = group_size * b + r operators, the b full groups stack their
-    members in the first ``dim`` columns of a ``group_size*dim`` square
-    matrix (zeros elsewhere); a partial group covers the remainder when
-    r > 0; and one final operator holds the identity on the non-initial
-    block so the expanded set is again trace preserving. ``group_size == 1``
-    returns the base operators unchanged with no identity block.
+    ``group_size`` must be a power of two that divides m, as it is for any
+    group size up to m of a ``pad_to_power_of_two`` set. One reshape stacks
+    each run of ``group_size`` operators in the first ``dim`` columns of a
+    ``group_size*dim`` square matrix (zeros elsewhere), and one final operator
+    holds the identity on the non-initial block so the expanded set is again
+    trace preserving. At ``group_size == 1`` the groups are the base operators
+    and the final block is zero.
     """
-    m = kset.num_operators
+    m, d = kset.num_operators, kset.dim
     if not is_power_of_two(group_size):
         raise InvalidGroupSizeError(f"group size {group_size} is not a power of two")
-    if not 1 <= group_size <= m:
-        raise InvalidGroupSizeError(
-            f"group size {group_size} outside [1, {m}]"
-        )
-    d = kset.dim
-    if group_size == 1:
-        return GroupedKrausSet(
-            base=kset,
-            group_size=1,
-            expanded_dim=d,
-            operators=kset.operators,
-            includes_identity_block=False,
-        )
-
-    ld = group_size * d
-    b, r = divmod(m, group_size)
-    expanded: list[np.ndarray] = []
-    for j in range(b + (1 if r else 0)):
-        op = np.zeros((ld, ld), dtype=complex)
-        members = kset.operators[j * group_size : (j + 1) * group_size]
-        for g, mk in enumerate(members):
-            op[g * d : (g + 1) * d, :d] = mk
-        expanded.append(op)
-    ident = np.zeros((ld, ld), dtype=complex)
-    ident[d:, d:] = np.eye(ld - d)
-    expanded.append(ident)
+    if group_size > m:
+        raise InvalidGroupSizeError(f"group size {group_size} outside [1, {m}]")
+    if m % group_size:
+        raise InvalidGroupSizeError(f"group size {group_size} does not divide m = {m}")
+    b, ld = m // group_size, group_size * d
+    expanded = np.zeros((b + 1, ld, ld), dtype=complex)
+    expanded[:b, :, :d] = np.reshape(kset.operators, (b, ld, d))
+    expanded[b, d:, d:] = np.eye(ld - d)
 
     total = sum(dagger(op) @ op for op in expanded)
     dev = max_abs(total - np.eye(ld))
@@ -239,7 +218,6 @@ def group_kraus(kset: KrausSet, group_size: int) -> GroupedKrausSet:
         group_size=group_size,
         expanded_dim=ld,
         operators=tuple(expanded),
-        includes_identity_block=True,
     )
 
 

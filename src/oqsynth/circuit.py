@@ -74,6 +74,11 @@ class UnsupportedGateError(CircuitError):
     pass
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in costmodel.ANCILLA_MODES:
+        raise CircuitError(f"unknown ancilla mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate; its kind fixes the qubit count, the one field it carries and the
@@ -268,6 +273,7 @@ def multi_target_cswap(
     the elementary decomposition in either mode. Neither mode prepares the
     control superposition itself.
     """
+    _check_mode(mode)
     pairs = [tuple(p) for p in pairs]
     n_t = len(pairs)
     if n_t == 0:
@@ -276,8 +282,6 @@ def multi_target_cswap(
         return cswap_elementary(control, pairs[0][0], pairs[0][1])
     if mode == "shared":
         return [multi_target_cswap_gate(control, pairs)]
-    if mode != "fanout":
-        raise CircuitError(f"unknown ancilla mode {mode!r}")
     ancillas = tuple(ancillas)
     if len(ancillas) < n_t - 1:
         raise MissingAncillasError(
@@ -354,6 +358,7 @@ def build_mixer(
     otherwise each merge control gets an RY angle matching the relative
     subtree weights.
     """
+    _check_mode(mode)
     n_states = num_states
     q = state_width
     if not is_power_of_two(n_states):
@@ -394,6 +399,12 @@ def _branch_qubits(base: int, n: int, g: int):
     return system, grouping, dil
 
 
+def _add_block(circ: Circuit, qubits, mid: str, matrix, depth: float, cnots: float) -> None:
+    """Register ``matrix`` as ``mid`` and emit its opaque gate on ``qubits``."""
+    circ.add_matrix(mid, matrix)
+    circ.add(opaque_unitary(qubits, mid, depth_weight=depth, cnot_weight=cnots))
+
+
 def assemble_simulation_circuit(
     kset: KrausSet,
     method: str,
@@ -414,6 +425,7 @@ def assemble_simulation_circuit(
     """
     if method not in costmodel.METHODS:
         raise CircuitError(f"unknown method {method!r}")
+    _check_mode(mode)
     n = kset.num_qubits
     m = kset.num_operators
     if not is_power_of_two(m):
@@ -423,7 +435,7 @@ def assemble_simulation_circuit(
     k = int(math.log2(m))
 
     if method == "stinespring":
-        v = stinespring_isometry(kset)
+        u = complete_isometry(stinespring_isometry(kset))
         cost = costmodel.dilation_cost("stinespring", n, m=m)
         system = tuple(range(n))
         env = tuple(range(n, n + k))
@@ -432,17 +444,9 @@ def assemble_simulation_circuit(
             registers={"system": system, "environment": env},
             input_registers=(system,),
         )
-        mid = "stinespring_unitary"
-        circ.add_matrix(mid, complete_isometry(v))
         # qubit listing is MSB-first: environment block index is most significant
-        circ.add(
-            opaque_unitary(
-                tuple(reversed(env)) + tuple(reversed(system)),
-                mid,
-                depth_weight=cost.depth,
-                cnot_weight=cost.cnot,
-            )
-        )
+        qubits = tuple(reversed(env)) + tuple(reversed(system))
+        _add_block(circ, qubits, "stinespring_unitary", u, cost.depth, cost.cnot)
         if env:
             circ.add(trace_out(env))
         return circ
@@ -468,43 +472,18 @@ def assemble_simulation_circuit(
             circ.registers[f"branch{i}_grouping"] = grouping
         circ.registers[f"branch{i}_dilation"] = (dil,)
         expanded = tuple(reversed(grouping)) + tuple(reversed(system))
+        dilated = (dil,) + expanded
         if method == "sznagy":
-            mid = f"branch{i}_sznagy"
-            circ.add_matrix(mid, sznagy_unitary(op))
-            circ.add(
-                opaque_unitary(
-                    (dil,) + expanded, mid, depth_weight=cost.depth, cnot_weight=cost.cnot
-                )
-            )
+            u = sznagy_unitary(op)
+            _add_block(circ, dilated, f"branch{i}_sznagy", u, cost.depth, cost.cnot)
         else:
             u, u_sigma, vdag = svd_dilation(op)
             half_cnot, half_depth = costmodel.svd_unitary_block(grouped.expanded_dim)
-            mid_v = f"branch{i}_vdag"
-            mid_s = f"branch{i}_usigma"
-            mid_u = f"branch{i}_u"
-            circ.add_matrix(mid_v, vdag)
-            circ.add_matrix(mid_s, u_sigma)
-            circ.add_matrix(mid_u, u)
-            circ.add(
-                opaque_unitary(
-                    expanded, mid_v, depth_weight=half_depth, cnot_weight=half_cnot
-                )
-            )
+            _add_block(circ, expanded, f"branch{i}_vdag", vdag, half_depth, half_cnot)
             circ.add(h(dil))
-            circ.add(
-                opaque_unitary(
-                    (dil,) + expanded,
-                    mid_s,
-                    depth_weight=cost.diag_gates,
-                    cnot_weight=0.0,
-                )
-            )
+            _add_block(circ, dilated, f"branch{i}_usigma", u_sigma, cost.diag_gates, 0.0)
             circ.add(h(dil))
-            circ.add(
-                opaque_unitary(
-                    expanded, mid_u, depth_weight=half_depth, cnot_weight=half_cnot
-                )
-            )
+            _add_block(circ, expanded, f"branch{i}_u", u, half_depth, half_cnot)
 
     circ.extend(_mixer_tree(b_count, q, mode))
 

@@ -137,25 +137,31 @@ class TestGroupKraus:
     def test_group_of_one_returns_base(self):
         k = random_kraus_set(1, 4, seed=5)
         g = group_kraus(k, 1)
-        assert g.operators == k.operators
-        assert not g.includes_identity_block
+        assert len(g.operators) == 5
+        for got, want in zip(g.operators, k.operators):
+            assert np.array_equal(got, want)
+        assert np.array_equal(g.operators[-1], np.zeros((2, 2)))  # the identity block
         assert g.expanded_dim == k.dim
         assert len(g.branch_operators) == 4
 
-    def test_worked_four_into_two(self):
-        # oracle: build the three expanded operators by hand with np.block
-        k = random_kraus_set(1, 4, seed=7)
-        m1, m2, m3, m4 = k.operators
-        z = np.zeros((2, 2), dtype=complex)
-        e1 = np.block([[m1, z], [m2, z]])
-        e2 = np.block([[m3, z], [m4, z]])
-        e3 = np.block([[z, z], [z, np.eye(2, dtype=complex)]])
-        g = group_kraus(k, 2)
-        assert g.includes_identity_block
-        assert len(g.operators) == 3
-        assert len(g.branch_operators) == 2
-        for got, want in zip(g.operators, (e1, e2, e3)):
-            assert max_abs(got - want) == 0.0
+    @pytest.mark.parametrize(
+        "n,m,l", [(1, 4, 2), (1, 4, 1), (1, 4, 4), (2, 8, 2), (2, 8, 8)]
+    )
+    def test_worked_four_into_two(self, n, m, l):
+        # oracle: build the expanded operators by hand with np.block
+        k = random_kraus_set(n, m, seed=7)
+        z = np.zeros((k.dim, k.dim), dtype=complex)
+        one = np.eye(k.dim, dtype=complex)
+        want = [
+            np.block([[k.operators[j * l + r]] + [z] * (l - 1) for r in range(l)])
+            for j in range(m // l)
+        ]
+        want.append(np.block([[one if r == c > 0 else z for c in range(l)] for r in range(l)]))
+        g = group_kraus(k, l)
+        assert len(g.operators) == m // l + 1
+        assert len(g.branch_operators) == m // l
+        for got, w in zip(g.operators, want):
+            assert max_abs(got - w) == 0.0
 
     def test_expanded_set_trace_preserving(self):
         k = random_kraus_set(2, 4, seed=11)
@@ -164,13 +170,14 @@ class TestGroupKraus:
         assert max_abs(total - np.eye(8)) <= 1e-10
 
     def test_partial_group_padding(self):
-        # m=3, group of 2: one full group, one partial, plus identity block
+        # the one padding rule: a partial group exists only as a zero-padded set
         k = random_kraus_set(1, 3, seed=13)
-        g = group_kraus(k, 2)
+        with pytest.raises(InvalidGroupSizeError, match="m = 3"):
+            group_kraus(k, 2)
+        g = group_kraus(pad_to_power_of_two(k), 2)
         assert len(g.operators) == 3
-        partial = g.operators[1]
-        assert max_abs(partial[:2, :2] - k.operators[2]) == 0.0
-        assert max_abs(partial[2:, :]) == 0.0
+        z = np.zeros((2, 2), dtype=complex)
+        assert np.array_equal(g.operators[1], np.block([[k.operators[2], z], [z, z]]))
         total = sum(dagger(op) @ op for op in g.operators)
         assert max_abs(total - np.eye(4)) <= 1e-10
 

@@ -337,6 +337,27 @@ class TestAssemble:
                 assemble_simulation_circuit(k, method)
 
 
+# each builder, including the paths that never reach a mixer or a fanout tree
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda mode: assemble_simulation_circuit(
+            random_kraus_set(1, 4, seed=9), "sznagy", group_size=4, mode=mode
+        ),
+        lambda mode: assemble_simulation_circuit(
+            random_kraus_set(1, 4, seed=9), "stinespring", mode=mode
+        ),
+        lambda mode: build_mixer(1, 3, mode=mode),
+        lambda mode: build_mixer(2, 1, mode=mode),
+        lambda mode: multi_target_cswap(0, [(1, 2)], mode=mode),
+    ],
+    ids=["assemble-one-branch", "stinespring", "mixer-one-state", "mixer", "cswap-one-pair"],
+)
+def test_builders_refuse_unknown_ancilla_mode(build):
+    with pytest.raises(CircuitError, match="unknown ancilla mode 'bogus'"):
+        build("bogus")
+
+
 class TestSerialization:
     def test_single_h(self):
         c = circuit_of([h(0)], 1)

@@ -33,6 +33,11 @@ ASSEMBLED = {
     ("svd", 1, "fanout"): "a88e893ce35929d6d352f2279198040693cbb3a0b325fe635aafabba68774522",
     ("svd", 2, "shared"): "54d4a09f18fce60d4b7cff0e4e24aff5fc90d37f62026c17d6b06bafb2b85f5d",
     ("svd", 2, "fanout"): "2b7956eb9f7453b0b3f1342e52ca5fcc83ab8e708b79139ce1be2439ea85e084",
+    # a middle group size: two branches of four operators each
+    ("sznagy", 4, "shared"): "410b53bd200e791604ee9ab8e21393b5c21344e59fa1086fa2f358200631910d",
+    ("sznagy", 4, "fanout"): "f87b271bea43e76c6497d119ba8da432a4273a6337241bbb8482e8e6ad90c113",
+    ("svd", 4, "shared"): "1c519b2d30d8805bb83ab73c7ab7e70697526cb5400f5f2e33c6a8a260efd41e",
+    ("svd", 4, "fanout"): "8aed33549ca70e70f977e0cbe3be90fa7bc02cf16ba030929c1c07d1a2411ead",
 }
 
 SIDECARS = {
@@ -41,6 +46,8 @@ SIDECARS = {
     ("sznagy", 2): "9ef6445e2a9f3b8208904c34415a02f277915de2fbd7d247ab2fbb29183b2f54",
     ("svd", 1): "01af6e01ac1124d4a2887f7dd19fcc51e045bf7aa7d7f5e5870f8681129466cf",
     ("svd", 2): "5219ccf4e4eadbd2279ba73acde65b0cfe026669db97c991d6774833dd40c998",
+    ("sznagy", 4): "7d93b298e927fa443a36c31f1057659ac0be67ad4c9ebf36e394e0abea348663",
+    ("svd", 4): "6a501f30f7aa1ab5df62fbd7bfe41edc29784c00f5ee5caf34d74df1a2d5af7f",
     # l = m: one branch, the shapes with the most exact-zero pairs
     ("sznagy", 8): "8202605ed2102fa9a8cfc6a8f9757595db2f4530c0b4bb64b01f3508e7713417",
     ("svd", 8): "9190a66c10ceaa30aa7be78143bf68d1cc2b319d7744f756fb5380c5689ea416",

@@ -602,7 +602,10 @@ def oracle_run(circ, states):
         rho = u @ rho @ dagger(u)
     p = np.trace(rho).real
     keep = {n - 1 - q for q in range(n) if q not in gone}
-    return partial_trace(rho, [2] * n, keep) / p, p
+    reduced = partial_trace(rho, [2] * n, keep)
+    if p == 0:  # nothing kept, nothing to normalize
+        return reduced, p
+    return reduced / p, p
 
 
 def opaque_circuit(gates, num_qubits, inputs, seed):
