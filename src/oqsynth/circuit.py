@@ -572,6 +572,8 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
         tokens = ln.split()
         try:
             if tokens[0] == "REGISTER":
+                if tokens[1] in registers:
+                    raise ValueError(f"register {tokens[1]!r} is already defined")
                 registers[tokens[1]] = _qubits(tokens[2:], num_qubits)
             elif tokens[0] == "INPUT":
                 inputs.append(_qubits(tokens[1:], num_qubits))

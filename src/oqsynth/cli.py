@@ -111,6 +111,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # a later write would replace an earlier one; a device such as /dev/stdout may repeat
+    outputs = [os.path.abspath(p) for p in (args.out, args.matrices, args.metrics) if p]
+    for i, path in enumerate(outputs):
+        if path in outputs[:i] and (os.path.isfile(path) or not os.path.exists(path)):
+            raise _InputError(f"--out, --matrices and --metrics name {path} more than once")
     data = _load_json(args.kraus)
     kset = channel.kraus_from_json_dict(data, validate=not args.no_validate, tol=args.tol)
     kset, circ = _assemble(args, kset)

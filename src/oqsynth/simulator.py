@@ -12,16 +12,16 @@ touches, together with the trace of the wires that leave after it, so a
 mixing tree over many branch registers never builds more than the
 surviving register (never the two registers plus their control).
 
-A factor over k wires holds ``rho = K S K^dag``: K is 2^k x D and S is the
-D x D source density. An input register starts dense (K = I, D = 2^k); a
-fresh qubit is K = |0>, S = [[1]]; a merge krons the K's and the S's. While
-D < 2^k a unitary gate updates K <- u K and never touches S, so a dilation
-block costs one product with a K that has only as many columns as the
-input has dimensions; a dense factor takes the two-sided ``u rho u^dag``.
-The factor forms K S K^dag once, just before a POSTSELECT, a trace, a
-MULTI_TARGET_CSWAP or the final state. Per input, on a 2-vCPU Xeon with
-numpy 2.4.6 on one BLAS thread, n=3, m=16 svd l=16 runs in 1.0 ms (13.4 ms
-with every factor dense) and n=2, m=4, l=1 fanout in 35 ms (167 ms).
+A factor over k wires holds ``rho = K S K^dag``; S (D x D) is its one density
+field and K is 2^k x D. A dense factor, as an input register starts, has no K
+and S = rho; a fresh qubit is K = |0>, S = [[1]]. A merge krons the S's, and
+the K's when either has one. While D < 2^k a unitary gate updates K <- u K
+and never touches S, so a dilation block costs one product with a K that has
+only as many columns as the input has dimensions; a dense factor takes the
+two-sided ``u rho u^dag``. K S K^dag is formed once, before a POSTSELECT, a
+trace, a MULTI_TARGET_CSWAP or the final state. Per input, on a 2-vCPU Xeon
+with numpy 2.4.6 on one BLAS thread, n=3, m=16 svd l=16 runs in 1.0 ms (13.4
+ms with every factor dense) and n=2, m=4, l=1 fanout in 35 ms (167 ms).
 
 Global basis convention: qubit 0 is the least significant bit.
 """
@@ -102,23 +102,19 @@ class DensityMatrix:
         psi = psi / norm
         return cls(matrix=np.outer(psi, psi.conj()), num_qubits=n)
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "DensityMatrix":
-        m = np.asarray(matrix, dtype=complex)
-        n = int(math.log2(m.shape[0])) if m.size else 0
-        if m.shape != (2**n, 2**n):
-            raise DimensionMismatchError(f"bad density matrix shape {m.shape}")
-        return cls(matrix=m, num_qubits=n)
-
 
 def _coerce_state(state, expected_qubits: int) -> np.ndarray:
-    m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
+    if isinstance(state, (list, tuple)):
+        raise TypeError(f"a state is an array, not a {type(state).__name__}: run(circuit, *states)")
+    m = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state, dtype=complex)
     if m.ndim == 1:
         m = DensityMatrix.from_pure(m).matrix
     if m.shape != (2**expected_qubits,) * 2:
         raise DimensionMismatchError(
             f"input state has shape {m.shape}, expected dimension {2**expected_qubits}"
         )
+    if not np.isfinite(m).all():
+        raise ValueError("input state has a non-finite entry")
     return m
 
 
@@ -126,50 +122,41 @@ class _Factor:
     """One independent tensor factor over its wires, held as ``rho = K S K^dag``.
 
     ``wires[i]`` is the circuit qubit at tensor axis ``i``; axis 0 is the most
-    significant bit. While ``iso`` is set, it is K as a tensor with one axis
-    per wire and a last source axis of length D, and ``src`` is the D x D
-    source density S. A dense factor has ``iso is None`` and keeps ``rho`` as
-    a tensor (row axes first, then the matching column axes).
+    significant bit. ``src`` is the one density field: the D x D source
+    density S. ``iso`` is K as a tensor with one axis per wire and a last
+    source axis of length D; a dense factor has no K (``iso is None``), so
+    there S is ``rho`` itself, D = 2^k.
     """
 
-    def __init__(self, wires: list[int], matrix=None, iso=None, src=None):
-        self.wires = wires
-        self.iso, self.src = iso, src
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * self.k))
-        self.rho = matrix
+    def __init__(self, wires: list[int], src: np.ndarray, iso=None):
+        self.wires, self.src, self.iso = wires, src, iso
 
     @property
     def k(self) -> int:
         return len(self.wires)
 
-    def flat(self) -> np.ndarray:
-        dim = 2**self.k
-        return self.rho.reshape(dim, dim)
-
-    def _parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """K as a 2^k x D matrix and S; a dense factor is K = I, S = rho."""
-        if self.iso is None:
-            return np.eye(2**self.k, dtype=complex), self.flat()
-        return self.iso.reshape(2**self.k, -1), self.src
+    @property
+    def rho(self) -> np.ndarray:
+        """A dense factor's S as a tensor: row axes first, then the matching column axes."""
+        return self.src.reshape((2,) * (2 * self.k))
 
     def merge(self, other: "_Factor") -> "_Factor":
         # kron keeps (rowsA, rowsB, colsA, colsB) = wire order A then B
         wires = self.wires + other.wires
+        src = _kron(self.src, other.src)
         if self.iso is None and other.iso is None:
-            return _Factor(wires, _kron(self.flat(), other.flat()))
-        (ka, sa), (kb, sb) = self._parts(), other._parts()
-        iso = _kron(ka, kb).reshape((2,) * len(wires) + (-1,))
-        return _Factor(wires, iso=iso, src=_kron(sa, sb))
+            return _Factor(wires, src)
+        ka, kb = (np.eye(2**f.k, dtype=complex) if f.iso is None else f.iso for f in (self, other))
+        iso = _kron(ka.reshape(2**self.k, -1), kb.reshape(2**other.k, -1))
+        return _Factor(wires, src, iso.reshape((2,) * len(wires) + (-1,)))
 
     def densify(self) -> None:
         """Form ``K S K^dag`` once; a dense factor stays as it is."""
         if self.iso is None:
             return
         _check_width(self.k)
-        k, s = self._parts()
-        self.rho = ((k @ s) @ k.conj().T).reshape((2,) * (2 * self.k))
-        self.iso = self.src = None
+        k = self.iso.reshape(2**self.k, -1)
+        self.src, self.iso = (k @ self.src) @ k.conj().T, None
 
     def apply_matrix(self, u: np.ndarray, qubits) -> None:
         """Apply ``u`` with the gate's wires moved to the front of the factor."""
@@ -184,32 +171,33 @@ class _Factor:
         # a dense factor: u on the rows, then conj(u) on the columns row by row
         rho = self.rho.transpose(order + [k + i for i in order])
         rho = (u @ rho.reshape(2**g, -1)).reshape(2**k, 2**g, -1)
-        self.rho = (u.conj() @ rho).reshape(self.rho.shape)
+        self.src = (u.conj() @ rho).reshape(self.src.shape)
 
     def postselect(self, qubit: int, outcome: int) -> float:
         self.densify()
         pos = self.wires.index(qubit)
         k = self.k
-        total = float(np.trace(self.flat()).real)
+        total = float(np.trace(self.src).real)
         idx = [slice(None)] * (2 * k)
         idx[pos] = outcome
         idx[k + pos] = outcome
         sub = self.rho[tuple(idx)]
         self.wires.pop(pos)
-        self.rho = sub
-        kept = float(np.trace(self.flat()).real)
+        self.src = sub.reshape(2**self.k, -1)
+        kept = float(np.trace(self.src).real)
         p = kept / total if total > 0 else 0.0
         if p < ZERO_BRANCH_CUTOFF:
             raise ZeroProbabilityBranch(
                 f"post-selecting qubit {qubit} on {outcome} has probability {p:.3e}"
             )
-        self.rho = self.rho / p
+        self.src = self.src / p
         return p
 
     def trace_out(self, qubit: int) -> None:
         self.densify()
         pos = self.wires.index(qubit)
-        self.rho = np.trace(self.rho, axis1=pos, axis2=self.k + pos)
+        rho = np.trace(self.rho, axis1=pos, axis2=self.k + pos)
+        self.src = rho.reshape(2 ** (self.k - 1), -1)
         self.wires.pop(pos)
 
 
@@ -250,7 +238,7 @@ class _Engine:
             if not any(q in f.wires for f in touching):
                 f = next((f for f in rest if q in f.wires), None)
                 if f is None:
-                    f = _Factor([q], iso=_KET0, src=_ONE)
+                    f = _Factor([q], _ONE, _KET0)
                 else:
                     rest.remove(f)
                 touching.append(f)
@@ -322,15 +310,13 @@ class _Engine:
             path = _einsum_path(subscripts, tuple(o.shape for o in operands))
             return np.einsum(subscripts, *operands, optimize=path)
 
-        if keep_ctrl:
-            k = len(kept) + 1
-            rho = np.empty((2,) * (2 * k), dtype=complex)
+        if keep_ctrl:  # block (c, c') fills the slice of the merged factor's rho view
+            merged = _Factor([ctrl] + kept, np.empty((2 ** (len(kept) + 1),) * 2, dtype=complex))
             for c in (0, 1):
                 for cc in (0, 1):
-                    rho[(c,) + (slice(None),) * (k - 1) + (cc,)] = block(c, cc)
-            merged = _Factor([ctrl] + kept, rho)
+                    merged.rho[(c,) + (slice(None),) * len(kept) + (cc,)] = block(c, cc)
         else:
-            merged = _Factor(kept, block(0, 0) + block(1, 1))
+            merged = _Factor(kept, (block(0, 0) + block(1, 1)).reshape(2 ** len(kept), -1))
         self.factors = rest + [merged]
 
     def final_state(self) -> np.ndarray:
@@ -345,20 +331,21 @@ class _Engine:
         return rho.reshape(2**k, 2**k)
 
 
-def run(circuit: Circuit, rho_in) -> tuple[DensityMatrix, float]:
-    """Execute a circuit on the given input state(s).
+def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
+    """Execute a circuit on one input state per input register.
 
-    ``rho_in`` is a density matrix, pure-state amplitude vector (normalized
-    here), or :class:`DensityMatrix` broadcast to every input register of
-    the circuit; a sequence of such states assigns them register by
-    register. TRACE_OUT is terminal: a gate on a qubit after its TRACE_OUT
-    raises :class:`SimulationError`. Returns the reduced state over the
-    surviving qubits (ascending index) and the product of post-selection
-    probabilities (1.0 when there are none). A merge or contraction wider
-    than :data:`MAX_FACTOR_QUBITS` raises :class:`SimulationError` first.
+    A state is a density matrix, a pure-state amplitude vector (normalized
+    here) or a :class:`DensityMatrix`; one state is broadcast to every input
+    register, several are assigned register by register, a list or tuple as
+    a state raises ``TypeError`` and a non-finite one ``ValueError``.
+    TRACE_OUT is terminal: a gate on a qubit after its TRACE_OUT raises
+    :class:`SimulationError`. Returns the reduced state over the surviving
+    qubits (ascending index) and the product of post-selection probabilities
+    (1.0 when there are none). A merge or contraction wider than
+    :data:`MAX_FACTOR_QUBITS` raises :class:`SimulationError` first.
     """
     regs = circuit.input_registers
-    states = rho_in if isinstance(rho_in, (list, tuple)) else [rho_in] * len(regs)
+    states = states * len(regs) if len(states) == 1 else states
     if len(states) != len(regs):
         raise DimensionMismatchError(
             f"{len(states)} input states for {len(regs)} input registers"
@@ -398,7 +385,7 @@ def run(circuit: Circuit, rho_in) -> tuple[DensityMatrix, float]:
         eng.trace_out(leaving)
 
     out = eng.final_state()
-    return DensityMatrix.from_matrix(out), eng.success_prob
+    return DensityMatrix(out, len(out).bit_length() - 1), eng.success_prob
 
 
 def compare_to_oracle(

@@ -68,7 +68,7 @@ def test_criterion_1_two_state_mixing():
             rho2 = haar_density(rng, dim)
             p1 = float(rng.uniform(0.02, 0.98))
             mixer = build_mixer(2, q, mode="shared", weights=(p1, 1 - p1))
-            out, _ = run(mixer, [rho1, rho2])
+            out, _ = run(mixer, rho1, rho2)
             want = p1 * rho1 + (1 - p1) * rho2
             assert max_abs(out.matrix - want) <= 1e-10, f"trial {trial}"
         elapsed = time.perf_counter() - start

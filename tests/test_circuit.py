@@ -545,6 +545,7 @@ MALFORMED_NATIVE = [
     "CIRCUIT num_qubits=4\nINPUT q0 q0",
     "CIRCUIT num_qubits=4\nINPUT q+1",
     "CIRCUIT num_qubits=4\nREGISTER r q1 q1",
+    "CIRCUIT num_qubits=4\nREGISTER r q0\nREGISTER r q1",
     "CIRCUIT num_qubits=4\nGATE H q0 theta=1",
     "CIRCUIT num_qubits=4\nGATE H q0 # junk=1",
     "CIRCUIT num_qubits=4\nGATE RZ q0 theta=nan",

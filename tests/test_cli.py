@@ -459,6 +459,20 @@ def test_synth_failed_write_leaves_no_artefact(tmp_path, capsys, flag):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
 
 
+@pytest.mark.parametrize("pair", [("--out", "--matrices"), ("--out", "--metrics"),
+                                  ("--matrices", "--metrics")])
+def test_synth_refuses_two_outputs_in_one_file(tmp_path, capsys, pair):
+    # the later write would replace the earlier one: refused before anything is written
+    path = write_kraus(tmp_path / "k.json", random_kraus_set(1, 2, seed=3))
+    argv = ["synth", path, "--method", "sznagy"]
+    for name in ("--out", "--matrices", "--metrics"):
+        argv += [name, str(tmp_path / ("same.txt" if name in pair else name[2:]))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+
+
 def test_synth_failed_write_keeps_paths_that_existed(tmp_path):
     # a path the run did not create (a user's file, a link such as /dev/stdout) is not removed
     path = write_kraus(tmp_path / "k.json", random_kraus_set(1, 2, seed=3))

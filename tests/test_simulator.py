@@ -24,7 +24,7 @@ from oqsynth.circuit import (
     t,
     trace_out,
 )
-from oqsynth.linalg import dagger, max_abs, partial_trace
+from oqsynth.linalg import DimensionMismatchError, dagger, max_abs, partial_trace
 from oqsynth.simulator import (
     DensityMatrix,
     EquivalenceFailure,
@@ -112,7 +112,7 @@ class TestEngineBasics:
         c = Circuit(num_qubits=3, input_registers=((0,), (1,), (2,)))
         c.extend(gates)
         one = np.diag([0.0, 1.0]).astype(complex)
-        out, _ = run(c, [r1, r2, one])
+        out, _ = run(c, r1, r2, one)
         # qubit order: q2 q1 q0 (MSB first) -> kron(one, r1, r2) after swap
         want = np.kron(one, np.kron(r1, r2))
         assert max_abs(out.matrix - want) <= 1e-12
@@ -137,7 +137,7 @@ class TestEngineBasics:
         c = Circuit(num_qubits=2, input_registers=((0,), (1,)))
         c.add(cnot(0, 1))
         c.add(trace_out((1,)))
-        out, _ = run(c, [r1, r2])
+        out, _ = run(c, r1, r2)
         joint = np.kron(r2, r1)  # qubit 1 is MSB
         cx = gate_matrix(cnot(0, 1), 2)
         evolved = cx @ joint @ dagger(cx)
@@ -153,7 +153,7 @@ class TestMixerSemantics:
             r2 = haar_density(rng, 2**q)
             p1 = rng.uniform(0.1, 0.9)
             c = build_mixer(2, q, mode="shared", weights=(p1, 1 - p1))
-            out, _ = run(c, [r1, r2])
+            out, _ = run(c, r1, r2)
             want = p1 * r1 + (1 - p1) * r2
             assert max_abs(out.matrix - want) <= 1e-10
 
@@ -168,7 +168,7 @@ class TestMixerSemantics:
                 haar_density(rng, 2**q) if i % 2 else random_density(rng, 2**q)
             )
         c = build_mixer(n_states, q, mode=mode)
-        out, p = run(c, states)
+        out, p = run(c, *states)
         want = sum(states) / n_states
         assert p == 1.0
         assert max_abs(out.matrix - want) <= 1e-10
@@ -177,7 +177,7 @@ class TestMixerSemantics:
         rng = np.random.default_rng(7)
         states = [haar_density(rng, 2) for _ in range(4)]
         c = build_mixer(4, 1, mode="shared")
-        out, _ = run(c, states)
+        out, _ = run(c, *states)
         assert max_abs(out.matrix - sum(states) / 4) <= 1e-10
 
     def test_weighted_four_states(self):
@@ -185,7 +185,7 @@ class TestMixerSemantics:
         states = [haar_density(rng, 2) for _ in range(4)]
         w = [0.1, 0.2, 0.3, 0.4]
         c = build_mixer(4, 1, mode="shared", weights=w)
-        out, _ = run(c, states)
+        out, _ = run(c, *states)
         want = sum(wi * s for wi, s in zip(w, states))
         assert max_abs(out.matrix - want) <= 1e-10
 
@@ -195,7 +195,7 @@ class TestMixerSemantics:
         r1 = random_density(rng, 4)
         r2 = random_density(rng, 4)
         c = build_mixer(2, 2, mode="fanout", weights=(0.7, 0.3))
-        out, _ = run(c, [r1, r2])
+        out, _ = run(c, r1, r2)
         assert max_abs(out.matrix - (0.7 * r1 + 0.3 * r2)) <= 1e-10
 
 
@@ -439,7 +439,7 @@ def test_fused_cswap_matches_dense_oracle(name, pure):
     states = [make(rng, 2 ** len(reg)) for reg in regs]
     num_qubits = 7
     c = circuit_of(gates + ([trace_out(traced)] if traced else []), num_qubits, inputs=regs)
-    got, p = run(c, states)
+    got, p = run(c, *states)
     want = dense_run(gates, set(traced), regs, states, num_qubits)
     assert p == 1.0
     assert max_abs(got.matrix - want) <= 1e-12
@@ -452,7 +452,7 @@ def test_fused_cswap_output_width_is_checked_first():
     c = circuit_of([ry(14, 1.1), multi_target_cswap_gate(14, [(0, 7), (6, 13)])], 15, inputs=regs)
     rng = np.random.default_rng(40)
     with pytest.raises(SimulationError, match="12 live qubits"):
-        run(c, [random_density(rng, 128), random_density(rng, 128)])
+        run(c, random_density(rng, 128), random_density(rng, 128))
 
 
 def test_fused_cswap_einsum_label_limit():
@@ -532,7 +532,7 @@ def test_untouched_register_passes_through_beside_a_touched_one():
     rng = np.random.default_rng(51)
     r0, r1 = random_density(rng, 2), random_density(rng, 4)
     c = circuit_of([h(0)], 3, inputs=[(0,), (1, 2)])
-    out, _ = run(c, [r0, r1])
+    out, _ = run(c, r0, r1)
     hd = gate_matrix(h(0), 1)
     assert max_abs(out.matrix - np.kron(r1, hd @ r0 @ dagger(hd))) <= 1e-15
 
@@ -562,6 +562,39 @@ def test_zero_pure_state_names_the_norm():
         DensityMatrix.from_pure([0, 0])
     with pytest.raises(ValueError, match="norm"):
         run(circuit_of([h(0)], 1, inputs=[(0,)]), np.array([0.0, np.nan]))
+
+
+# --- run(circuit, *states): one state broadcast, or one per input register -----
+
+
+@pytest.mark.parametrize("method,l", [("stinespring", 1), ("sznagy", 2), ("svd", 1)])
+def test_non_finite_state_is_refused(method, l):
+    # not an all-NaN output, nor a zero-probability branch that blames the circuit
+    c = assemble_simulation_circuit(random_kraus_set(1, 2, seed=1), method, group_size=l)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(c, np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_nested_list_state_is_refused_on_two_registers():
+    # as a list the density would read as two pure states, |0> and |1>, not I/2
+    kset = random_kraus_set(1, 4, seed=1)
+    c = assemble_simulation_circuit(kset, "svd", group_size=2)
+    assert len(c.input_registers) == 2
+    rho = [[0.5, 0], [0, 0.5]]
+    with pytest.raises(TypeError, match=r"run\(circuit, \*states\)"):
+        run(c, rho)
+    out, p = run(c, np.array(rho))
+    assert max_abs(out.matrix - apply_channel(kset, np.array(rho))) <= 1e-12
+    assert abs(p - 0.5) <= 1e-12
+
+
+def test_state_count_must_be_one_or_one_per_register():
+    c = circuit_of([cnot(0, 1)], 2, inputs=[(0,), (1,)])
+    r = np.eye(2, dtype=complex) / 2
+    with pytest.raises(DimensionMismatchError, match="0 input states for 2"):
+        run(c)
+    with pytest.raises(DimensionMismatchError, match="3 input states for 2"):
+        run(c, r, r, r)
 
 
 # --- isometry factors: engine against a dense U rho U^dag oracle ---------------
@@ -623,7 +656,7 @@ def opaque_circuit(gates, num_qubits, inputs, seed):
 
 def assert_matches_oracle(c, states):
     want, p_want = oracle_run(c, states)
-    got, p = run(c, states)
+    got, p = run(c, *states)
     assert abs(p - p_want) <= 1e-12
     assert max_abs(got.matrix - want) <= 1e-12
 
@@ -672,7 +705,7 @@ def test_isometry_factors_match_dense_oracle(shape, seed, pure):
     c = opaque_circuit(gates, n, regs, seed)
     want, p_want = oracle_run(c, states)
     assume(p_want > 1e-3)
-    got, p = run(c, states)
+    got, p = run(c, *states)
     assert abs(p - p_want) <= 1e-12
     assert max_abs(got.matrix - want) <= 1e-12
 
