@@ -29,6 +29,7 @@ Global basis convention: qubit 0 is the least significant bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ ZERO_BRANCH_CUTOFF = 1e-14
 # Widest density factor the engine builds: 12 qubits is 256 MiB of complex128.
 MAX_FACTOR_QUBITS = 12
 PROBABILITY_TOL = 1e-12
+STATE_TOL = 1e-9  # how far an input density may stray from Hermitian, trace 1 and PSD
 _EINSUM_LABELS = string.ascii_letters  # the subscripts np.einsum accepts
 
 
@@ -89,32 +91,37 @@ class DensityMatrix:
     matrix: np.ndarray
     num_qubits: int
 
-    @classmethod
-    def from_pure(cls, amplitudes) -> "DensityMatrix":
-        """Normalized ``|psi><psi|``; a zero or non-finite norm raises ValueError."""
-        psi = np.asarray(amplitudes, dtype=complex).ravel()
-        n = int(math.log2(len(psi)))
-        if 2**n != len(psi):
-            raise DimensionMismatchError("amplitude count must be a power of two")
-        norm = np.linalg.norm(psi)
-        if not 0 < norm < np.inf:
-            raise ValueError(f"pure state has norm {norm}; it needs a finite, non-zero norm")
-        psi = psi / norm
-        return cls(matrix=np.outer(psi, psi.conj()), num_qubits=n)
 
+def density(state, num_qubits: int) -> np.ndarray:
+    """The one state contract: ``state`` as a density matrix on ``num_qubits`` qubits.
 
-def _coerce_state(state, expected_qubits: int) -> np.ndarray:
+    A vector of 2^n amplitudes is a pure state, normalized (a zero or
+    non-finite norm raises ``ValueError``). A 2^n x 2^n matrix or
+    :class:`DensityMatrix` must be finite, Hermitian, of trace 1 and with no
+    eigenvalue below 0, each within :data:`STATE_TOL`, else ``ValueError``
+    names the property. Any other shape raises ``DimensionMismatchError``,
+    and a list or tuple ``TypeError``.
+    """
     if isinstance(state, (list, tuple)):
         raise TypeError(f"a state is an array, not a {type(state).__name__}: run(circuit, *states)")
     m = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state, dtype=complex)
+    d = 2**num_qubits
+    if m.shape not in ((d,), (d, d)):
+        raise DimensionMismatchError(f"input state has shape {m.shape}, expected dimension {d}")
     if m.ndim == 1:
-        m = DensityMatrix.from_pure(m).matrix
-    if m.shape != (2**expected_qubits,) * 2:
-        raise DimensionMismatchError(
-            f"input state has shape {m.shape}, expected dimension {2**expected_qubits}"
-        )
+        norm = np.linalg.norm(m)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"pure state has norm {norm}; it needs a finite, non-zero norm")
+        psi = m / norm
+        m = np.outer(psi, psi.conj())
     if not np.isfinite(m).all():
         raise ValueError("input state has a non-finite entry")
+    if (skew := max_abs(m - dagger(m))) > STATE_TOL:
+        raise ValueError(f"input state is not Hermitian: max |rho - rho^dag| is {skew:.3e}")
+    if abs((trace := float(m.trace().real)) - 1) > STATE_TOL:
+        raise ValueError(f"input state has trace {trace!r}, not 1")
+    if (low := np.linalg.eigvalsh(m)[0]) < -STATE_TOL:
+        raise ValueError(f"input state is not positive semidefinite: eigenvalue {low:.3e}")
     return m
 
 
@@ -334,15 +341,15 @@ class _Engine:
 def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
     """Execute a circuit on one input state per input register.
 
-    A state is a density matrix, a pure-state amplitude vector (normalized
-    here) or a :class:`DensityMatrix`; one state is broadcast to every input
-    register, several are assigned register by register, a list or tuple as
-    a state raises ``TypeError`` and a non-finite one ``ValueError``.
-    TRACE_OUT is terminal: a gate on a qubit after its TRACE_OUT raises
-    :class:`SimulationError`. Returns the reduced state over the surviving
-    qubits (ascending index) and the product of post-selection probabilities
-    (1.0 when there are none). A merge or contraction wider than
-    :data:`MAX_FACTOR_QUBITS` raises :class:`SimulationError` first.
+    Each state passes :func:`density`. One state is broadcast to every input
+    register, so a circuit with B input registers sees rho^(x B) and its
+    output trace goes as tr(rho)^B: that is why an input must be a density.
+    Several states are assigned register by register. TRACE_OUT is terminal:
+    a gate on a qubit after its TRACE_OUT raises :class:`SimulationError`.
+    Returns the reduced state over the surviving qubits (ascending index)
+    and the product of post-selection probabilities (1.0 when there are
+    none). A merge or contraction wider than :data:`MAX_FACTOR_QUBITS`
+    raises :class:`SimulationError` first.
     """
     regs = circuit.input_registers
     states = states * len(regs) if len(states) == 1 else states
@@ -352,11 +359,11 @@ def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
         )
     if len({q for reg in regs for q in reg}) != sum(map(len, regs)):
         raise SimulationError(f"input registers {regs} overlap")
+    # a state given to several registers passes the contract once
+    rhos = {(id(s), len(reg)): s for reg, s in zip(regs, states)}
+    rhos = {key: density(s, key[1]) for key, s in rhos.items()}
     # a register's highest qubit is its most significant bit
-    inputs = [
-        _Factor(list(reversed(reg)), _coerce_state(s, len(reg)))
-        for reg, s in zip(regs, states)
-    ]
+    inputs = [_Factor(list(reversed(reg)), rhos[id(s), len(reg)]) for reg, s in zip(regs, states)]
 
     # each qubit a TRACE_OUT discards leaves after its last gate, or at the
     # TRACE_OUT itself when no gate touches it
@@ -388,79 +395,71 @@ def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
     return DensityMatrix(out, len(out).bit_length() - 1), eng.success_prob
 
 
-def compare_to_oracle(
-    got: np.ndarray, want: np.ndarray, p: float, expected_p: float, tol: float
-) -> tuple[float, float, bool]:
-    """Residual ``||got - want||_max``, probability error and the verdict.
+def tomography_inputs(dim: int) -> dict[str, np.ndarray]:
+    """The fixed inputs of :func:`verify_equivalence`, by name.
 
-    The verdict passes only when the residual is within ``tol`` and the
-    probability within :data:`PROBABILITY_TOL`; NaN in either fails.
+    The dim^2 pure states |i>, (|i>+|j>)/sqrt2 and (|i>+i|j>)/sqrt2 (i < j)
+    span every dim x dim matrix (process tomography, Nielsen & Chuang
+    8.4.2); the last input is their full-rank mixture with weights 1..dim^2.
     """
-    res = max_abs(got - want)
-    perr = abs(p - expected_p)
-    return res, perr, res <= tol and perr <= PROBABILITY_TOL
+    eye = np.eye(dim, dtype=complex)
+    states = {f"|{i}>": eye[i] for i in range(dim)}
+    for i, j in itertools.combinations(range(dim), 2):
+        states[f"(|{i}>+|{j}>)/sqrt2"] = (eye[i] + eye[j]) / math.sqrt(2)
+        states[f"(|{i}>+i|{j}>)/sqrt2"] = (eye[i] + 1j * eye[j]) / math.sqrt(2)
+    weights = np.arange(1, dim**2 + 1) / (dim**2 * (dim**2 + 1) / 2)
+    states["mixture"] = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, states.values()))
+    return states
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Worst-case residuals of a circuit-vs-oracle verification run."""
+    """Per input: ``||output - apply_channel||_max`` and the post-selection
+    probability. ``failed`` holds the inputs past ``tol`` or
+    :data:`PROBABILITY_TOL`, NaN included, worst residual first."""
 
-    method: str
-    group_size: int
-    ancilla_mode: str
-    trials: int
     expected_probability: float
-    worst_residual: float
-    worst_probability_error: float
+    residuals: tuple[float, ...]
+    probabilities: tuple[float, ...]
+    failed: tuple[int, ...]
+
+
+def check_circuit(
+    kset: KrausSet, circuit: Circuit, expected_p: float, states, tol: float
+) -> EquivalenceReport:
+    """Run ``circuit`` on each state (after :func:`density`) against ``apply_channel``."""
+    residuals, probabilities = [], []
+    for state in states:
+        rho = density(state, kset.num_qubits)
+        want = apply_channel(kset, rho)
+        got, p = run(circuit, rho)
+        residuals.append(max_abs(got.matrix - want))
+        probabilities.append(p)
+    failed = [
+        i for i, (r, p) in enumerate(zip(residuals, probabilities))
+        if not (r <= tol and abs(p - expected_p) <= PROBABILITY_TOL)
+    ]
+    failed.sort(key=lambda i: -np.nan_to_num(residuals[i], nan=np.inf))
+    return EquivalenceReport(expected_p, tuple(residuals), tuple(probabilities), tuple(failed))
 
 
 def verify_equivalence(
-    kset: KrausSet,
-    method: str,
-    group_size: int = 1,
-    mode: str = "shared",
-    trials: int = 5,
-    tol: float = 1e-9,
-    seed: int = 0,
+    kset: KrausSet, method: str, group_size: int = 1, mode: str = "shared", tol: float = 1e-9
 ) -> EquivalenceReport:
-    """Check the synthesized circuit against the dense channel oracle.
+    """:func:`check_circuit` of the assembled circuit on :func:`tomography_inputs`.
 
-    Runs ``trials`` alternating random pure and mixed inputs through the
-    assembled circuit and compares with ``apply_channel``; also checks the
-    measured post-selection probability against group_size / m (exactly 1
-    for the deterministic route). Raises :class:`EquivalenceFailure`
-    carrying the offending seed when any residual exceeds the tolerances.
+    Expects post-selection probability group_size / m (1 for stinespring);
+    raises :class:`EquivalenceFailure` naming the worst failing input.
     """
     circ = assemble_simulation_circuit(kset, method, group_size=group_size, mode=mode)
-    d = kset.dim
+    inputs = tomography_inputs(kset.dim)
     expected_p = success_probability(method, kset.num_operators, group_size)
-    worst_res = 0.0
-    worst_perr = 0.0
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        if trial % 2 == 0:
-            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            rho = DensityMatrix.from_pure(psi).matrix
-        else:
-            g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-            rho = g @ dagger(g)
-            rho = rho / np.trace(rho)
-        want = apply_channel(kset, rho)
-        got, p = run(circ, rho)
-        res, perr, ok = compare_to_oracle(got.matrix, want, p, expected_p, tol)
-        worst_res = max(worst_res, res)
-        worst_perr = max(worst_perr, perr)
-        if not ok:
-            raise EquivalenceFailure(
-                f"{method} l={group_size} {mode}: trial {trial} (seed {seed}) "
-                f"residual {res:.3e} probability error {perr:.3e}"
-            )
-    return EquivalenceReport(
-        method=method,
-        group_size=group_size,
-        ancilla_mode=mode,
-        trials=trials,
-        expected_probability=expected_p,
-        worst_residual=worst_res,
-        worst_probability_error=worst_perr,
-    )
+    report = check_circuit(kset, circ, expected_p, inputs.values(), tol)
+    if report.failed:
+        i = report.failed[0]
+        raise EquivalenceFailure(
+            f"{method} l={group_size} {mode}: input {list(inputs)[i]} residual "
+            f"{report.residuals[i]:.3e} probability {report.probabilities[i]!r}, "
+            f"expected {expected_p!r}"
+        )
+    return report

@@ -560,3 +560,63 @@ def test_state_num_qubits_must_be_an_int(tmp_path, capsys, num_qubits):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: malformed state JSON: num_qubits {num_qubits!r} is not an int\n"
+
+
+def pairs(matrix):
+    return np.stack([np.real(matrix), np.imag(matrix)], axis=-1).tolist()
+
+
+NOT_DENSITIES = [  # (1-qubit density data, the property it breaks)
+    (np.eye(2), "trace 2.0"),
+    (np.array([[0.5, 0], [0.3, 0.5]]), "not Hermitian"),
+    (np.diag([1.0001, -0.0001]), "not positive semidefinite"),
+    (np.diag([0.75, 0.25]) * (1 + 1e-6), "trace"),
+    (np.diag([0.75, 0.25]) * (1 - 1e-6), "trace"),
+    (np.diag([0.75, 0.25]) + 1e-6 * np.array([[0, 1], [-1, 0]]), "not Hermitian"),
+    (np.diag([1 + 1e-6, -1e-6]), "not positive semidefinite"),
+]
+
+
+@pytest.mark.parametrize("method", ["stinespring", "sznagy", "svd"])
+@pytest.mark.parametrize("state,prop", NOT_DENSITIES)
+def test_simulate_refuses_what_is_not_a_density(tmp_path, capsys, method, state, prop):
+    # a correct circuit on a trace-2 state exited 1 under svd and 0 under stinespring
+    k = write_kraus(tmp_path / "k.json", random_kraus_set(1, 4, seed=1))
+    s = write_state(tmp_path / "s.json", 1, "density", pairs(state))
+    assert main(["simulate", k, s, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert prop in captured.err and "malformed state JSON" not in captured.err
+
+
+@pytest.mark.parametrize("field", ["output", "probability"])
+def test_simulate_nan_fails_closed(tmp_path, capsys, monkeypatch, field):
+    real = simulator.run
+
+    def with_nan(circ, *states):
+        out, p = real(circ, *states)
+        if field == "output":
+            return simulator.DensityMatrix(np.full_like(out.matrix, np.nan), out.num_qubits), p
+        return out, np.nan
+
+    monkeypatch.setattr(simulator, "run", with_nan)
+    k = write_kraus(tmp_path / "k.json", random_kraus_set(1, 4, seed=1))
+    s = write_state(tmp_path / "s.json", 1, "pure", [[0.6, 0.0], [0.0, 0.8]])
+    assert main(["simulate", k, s, "--method", "svd"]) == 1
+    assert capsys.readouterr().out.endswith("FAIL: circuit output disagrees with the channel oracle\n")
+
+
+@pytest.mark.parametrize(
+    "num_qubits,data,message",
+    [(1, [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "FMO state must be 8x8"),
+     (3, pairs(np.eye(8) / 4), "trace 2.0")],
+)
+def test_fmo_init_must_be_a_3_qubit_density(tmp_path, capsys, num_qubits, data, message):
+    s = write_state(tmp_path / "init.json", num_qubits, "density", data)
+    assert main(["fmo", "--steps", "2", "--init", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
