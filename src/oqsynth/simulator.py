@@ -19,9 +19,21 @@ the K's when either has one. While D < 2^k a unitary gate updates K <- u K
 and never touches S, so a dilation block costs one product with a K that has
 only as many columns as the input has dimensions; a dense factor takes the
 two-sided ``u rho u^dag``. K S K^dag is formed once, before a POSTSELECT, a
-trace, a MULTI_TARGET_CSWAP or the final state. Per input, on a 2-vCPU Xeon
-with numpy 2.4.6 on one BLAS thread, n=3, m=16 svd l=16 runs in 1.0 ms (13.4
-ms with every factor dense) and n=2, m=4, l=1 fanout in 35 ms (167 ms).
+trace, a MULTI_TARGET_CSWAP or the final state.
+
+A run is planned once, then executed. ``_plan`` walks the gates over the
+factors' wire lists without building any state, once per circuit structure
+(the gates and the input registers; matrix values play no part). It fixes the
+factor each gate acts on, the merges, the axis moves of each apply, the
+densify points and the wires that retire after each gate; it compiles each
+CSWAP control block into trace, reshape and ``matmul`` steps; and it checks
+the width and label limits. The plan holds no state and no matrix (only
+the |0> and [[1]] of a fresh wire), and :func:`run` executes its steps, so
+both inputs of a verification, and every circuit of one shape, share one
+plan. Per input, on a 2-vCPU Xeon with numpy 2.4.6 on one BLAS thread, with
+the plan cached, n=2, m=16 svd l=4 shared runs in 0.27 ms (1.0 ms gate by
+gate), sznagy l=4 in 0.21 ms (0.80 ms) and n=3, m=16 svd l=16 in 0.50-0.62
+ms (0.65-0.83 ms).
 
 Global basis convention: qubit 0 is the least significant bit.
 """
@@ -47,7 +59,8 @@ ZERO_BRANCH_CUTOFF = 1e-14
 MAX_FACTOR_QUBITS = 12
 PROBABILITY_TOL = 1e-12
 STATE_TOL = 1e-9  # how far an input density may stray from Hermitian, trace 1 and PSD
-_EINSUM_LABELS = string.ascii_letters  # the subscripts np.einsum accepts
+# labels of a contraction's axes: 52 keep every tensor under numpy's 64 dimensions
+_LABELS = string.ascii_letters
 
 
 class SimulationError(Exception):
@@ -67,21 +80,17 @@ _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _FIXED = {"H": HADAMARD, "T": _T, "TDG": _T.conj().T, "CNOT": _CNOT}
 _KET0 = np.array([[1.0], [0.0]], dtype=complex)  # K of a fresh |0> wire
 _ONE = np.ones((1, 1), dtype=complex)  # its source density
+_MATRICES, _PROB = 0, 1  # the value slots of circuit.matrices and the success probability
 
 
-def _gate_matrix(g: Gate, circuit: Circuit) -> np.ndarray:
-    """Matrix of a unitary gate over ``g.qubits`` (most significant first)."""
+def _fixed_matrix(g: Gate) -> np.ndarray:
+    """Matrix of an elementary gate over ``g.qubits`` (most significant first)."""
     if g.kind in _FIXED:
         return _FIXED[g.kind]
     if g.kind == "RZ":
         return np.diag([np.exp(-0.5j * g.theta), np.exp(0.5j * g.theta)])
-    if g.kind == "RY":
-        c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    try:  # OPAQUE_UNITARY, the one other kind run applies as a matrix
-        return circuit.matrices[g.matrix_id]
-    except KeyError:
-        raise SimulationError(f"missing matrix for block {g.matrix_id!r}") from None
+    c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)  # RY
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +104,19 @@ class DensityMatrix:
 def density(state, num_qubits: int) -> np.ndarray:
     """The one state contract: ``state`` as a density matrix on ``num_qubits`` qubits.
 
-    A vector of 2^n amplitudes is a pure state, normalized (a zero or
-    non-finite norm raises ``ValueError``). A 2^n x 2^n matrix or
-    :class:`DensityMatrix` must be finite, Hermitian, of trace 1 and with no
-    eigenvalue below 0, each within :data:`STATE_TOL`, else ``ValueError``
-    names the property. Any other shape raises ``DimensionMismatchError``,
-    and a list or tuple ``TypeError``.
+    ``num_qubits`` must lie in 1..:data:`MAX_FACTOR_QUBITS`, since an input
+    register is one factor from the start; otherwise ``ValueError``, before any
+    dimension is computed. A vector of 2^n amplitudes is a pure state,
+    normalized (a zero or non-finite norm raises ``ValueError``). A 2^n x 2^n
+    matrix or :class:`DensityMatrix` must be finite, Hermitian, of trace 1 and
+    with no eigenvalue below 0, each within :data:`STATE_TOL`, else
+    ``ValueError`` names the property. Any other shape raises
+    ``DimensionMismatchError``, and a list or tuple ``TypeError``.
     """
     if isinstance(state, (list, tuple)):
         raise TypeError(f"a state is an array, not a {type(state).__name__}: run(circuit, *states)")
+    if not 1 <= num_qubits <= MAX_FACTOR_QUBITS:
+        raise ValueError(f"num_qubits {num_qubits} is outside 1..{MAX_FACTOR_QUBITS}")
     m = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state, dtype=complex)
     d = 2**num_qubits
     if m.shape not in ((d,), (d, d)):
@@ -125,99 +138,9 @@ def density(state, num_qubits: int) -> np.ndarray:
     return m
 
 
-class _Factor:
-    """One independent tensor factor over its wires, held as ``rho = K S K^dag``.
-
-    ``wires[i]`` is the circuit qubit at tensor axis ``i``; axis 0 is the most
-    significant bit. ``src`` is the one density field: the D x D source
-    density S. ``iso`` is K as a tensor with one axis per wire and a last
-    source axis of length D; a dense factor has no K (``iso is None``), so
-    there S is ``rho`` itself, D = 2^k.
-    """
-
-    def __init__(self, wires: list[int], src: np.ndarray, iso=None):
-        self.wires, self.src, self.iso = wires, src, iso
-
-    @property
-    def k(self) -> int:
-        return len(self.wires)
-
-    @property
-    def rho(self) -> np.ndarray:
-        """A dense factor's S as a tensor: row axes first, then the matching column axes."""
-        return self.src.reshape((2,) * (2 * self.k))
-
-    def merge(self, other: "_Factor") -> "_Factor":
-        # kron keeps (rowsA, rowsB, colsA, colsB) = wire order A then B
-        wires = self.wires + other.wires
-        src = _kron(self.src, other.src)
-        if self.iso is None and other.iso is None:
-            return _Factor(wires, src)
-        ka, kb = (np.eye(2**f.k, dtype=complex) if f.iso is None else f.iso for f in (self, other))
-        iso = _kron(ka.reshape(2**self.k, -1), kb.reshape(2**other.k, -1))
-        return _Factor(wires, src, iso.reshape((2,) * len(wires) + (-1,)))
-
-    def densify(self) -> None:
-        """Form ``K S K^dag`` once; a dense factor stays as it is."""
-        if self.iso is None:
-            return
-        _check_width(self.k)
-        k = self.iso.reshape(2**self.k, -1)
-        self.src, self.iso = (k @ self.src) @ k.conj().T, None
-
-    def apply_matrix(self, u: np.ndarray, qubits) -> None:
-        """Apply ``u`` with the gate's wires moved to the front of the factor."""
-        pos = [self.wires.index(q) for q in qubits]
-        k, g = self.k, len(pos)
-        order = pos + [i for i in range(k) if i not in pos]
-        self.wires = [self.wires[i] for i in order]
-        if self.iso is not None:  # K <- u K; S is never touched
-            iso = self.iso.transpose(order + [k])
-            self.iso = (u @ iso.reshape(2**g, -1)).reshape(iso.shape)
-            return
-        # a dense factor: u on the rows, then conj(u) on the columns row by row
-        rho = self.rho.transpose(order + [k + i for i in order])
-        rho = (u @ rho.reshape(2**g, -1)).reshape(2**k, 2**g, -1)
-        self.src = (u.conj() @ rho).reshape(self.src.shape)
-
-    def postselect(self, qubit: int, outcome: int) -> float:
-        self.densify()
-        pos = self.wires.index(qubit)
-        k = self.k
-        total = float(np.trace(self.src).real)
-        idx = [slice(None)] * (2 * k)
-        idx[pos] = outcome
-        idx[k + pos] = outcome
-        sub = self.rho[tuple(idx)]
-        self.wires.pop(pos)
-        self.src = sub.reshape(2**self.k, -1)
-        kept = float(np.trace(self.src).real)
-        p = kept / total if total > 0 else 0.0
-        if p < ZERO_BRANCH_CUTOFF:
-            raise ZeroProbabilityBranch(
-                f"post-selecting qubit {qubit} on {outcome} has probability {p:.3e}"
-            )
-        self.src = self.src / p
-        return p
-
-    def trace_out(self, qubit: int) -> None:
-        self.densify()
-        pos = self.wires.index(qubit)
-        rho = np.trace(self.rho, axis1=pos, axis2=self.k + pos)
-        self.src = rho.reshape(2 ** (self.k - 1), -1)
-        self.wires.pop(pos)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices, without its per-call axis bookkeeping."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
-@functools.lru_cache(maxsize=1024)
-def _einsum_path(subscripts: str, shapes: tuple) -> list:
-    """Greedy contraction path, searched once per subscripts and operand shapes."""
-    operands = [np.broadcast_to(np.zeros((), dtype=complex), shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
 
 
 def _check_width(k: int) -> None:
@@ -225,117 +148,387 @@ def _check_width(k: int) -> None:
         raise SimulationError(f"merging factors would exceed {MAX_FACTOR_QUBITS} live qubits")
 
 
-class _Engine:
-    """Product of independent factors plus post-selection bookkeeping."""
+def _moved(axes: list[int]) -> list[int] | None:
+    """``axes``, or ``None`` when they keep the order, so no transpose is needed."""
+    return None if axes == sorted(axes) else axes
 
-    def __init__(self, factors: list[_Factor]):
-        self.factors = factors
-        self.success_prob = 1.0
 
-    def _split(self, qubits) -> tuple[list[_Factor], list[_Factor]]:
-        """Factors holding any of the qubits, and the rest.
+def _view(term: str, rows, cols) -> tuple:
+    """Shape, axes and matrix shape that turn a (2,) * len(term) tensor into the
+    matrix with the labels ``rows`` on its rows and ``cols`` on its columns (a
+    label in both is read at its first and its second axis)."""
+    axes = [term.index(x) for x in rows] + [term.rindex(x) for x in cols]
+    return (2,) * len(term), _moved(axes), (2 ** len(rows), 2 ** len(cols))
 
-        The touching factors come in the order of their first wire in
-        ``qubits``, so a merge keeps the gate's wires close to its order and
-        the axis moves of the gate apply stay small. A qubit no factor holds
-        joins as a fresh |0> factor.
-        """
-        touching, rest = [], list(self.factors)
+
+def _matrix(x: np.ndarray, view: tuple) -> np.ndarray:
+    """``x`` (any shape of the right size) through a :func:`_view`."""
+    shape, axes, flat = view
+    if axes is None:
+        return x.reshape(flat)
+    return x.reshape(shape).transpose(axes).reshape(flat)
+
+
+def _network(terms: list[str], out: str):
+    """Compile a contraction in which every label occurs twice among ``terms`` and ``out``.
+
+    Each term names the axes of one tensor of shape (2,) * len(term); ``out``
+    names the rows, then the columns, of the square result. A label twice in
+    one term is summed over that tensor's diagonal first. The tensors are then
+    contracted two at a time, the pair with the smallest result first, each
+    pair by one ``matmul`` over the labels they share (a broadcast product when
+    they share none: cheaper for the scalars a traced register leaves), and a
+    last transpose puts the axes in ``out`` order. Shapes, axes and order are
+    fixed here, so a call parses no subscripts and searches no path. Returns
+    ``contract(tensors)``.
+    """
+    terms, traces, pairs = list(terms), [], []
+    for i, t in enumerate(terms):
+        if twice := [x for x in dict.fromkeys(t) if t.count(x) == 2]:
+            free = [x for x in t if x not in twice]
+            shape, axes, _ = _view(t, free + twice, twice)
+            traces.append((i, (shape, axes, (2 ** len(free),) + (2 ** len(twice),) * 2)))
+            terms[i] = "".join(free)
+    while len(terms) > 1:
+        i, j = min(
+            itertools.combinations(range(len(terms)), 2),
+            key=lambda ij: len(set(terms[ij[0]]) ^ set(terms[ij[1]])),
+        )
+        tj, ti = terms.pop(j), terms.pop(i)  # i < j
+        shared = [x for x in ti if x in tj]
+        fi, fj = [x for x in ti if x not in tj], [x for x in tj if x not in ti]
+        pairs.append((i, j, _view(ti, fi, shared), _view(tj, shared, fj)))
+        terms.append("".join(fi + fj))
+    final = _view(terms[0], out[: len(out) // 2], out[len(out) // 2 :])
+
+    def contract(xs: list) -> np.ndarray:
+        for i, view in traces:
+            xs[i] = _matrix(xs[i], view).trace(axis1=1, axis2=2)
+        for i, j, view_a, view_b in pairs:
+            b, a = xs.pop(j), xs.pop(i)
+            a, b = _matrix(a, view_a), _matrix(b, view_b)
+            xs.append(a @ b if a.shape[1] > 1 else a * b)
+        return _matrix(xs[0], final)
+
+    return contract
+
+
+class _Factor:
+    """One independent tensor factor as the planner sees it, ``rho = K S K^dag``.
+
+    ``wires[i]`` is the circuit qubit at tensor axis ``i``; axis 0 is the most
+    significant bit. ``src`` is the value slot of the D x D source density S and
+    ``iso`` the slot of K as a 2^k x D matrix. A dense factor, as an input
+    register starts, has no K (``iso is None``), so there S is ``rho`` itself
+    and D = 2^k; a factor whose wires all started fresh has D = 1 and S = [[1]].
+    """
+
+    def __init__(self, wires: list[int], src: int, iso: int | None, d: int):
+        self.wires, self.src, self.iso, self.d = wires, src, iso, d
+
+    @property
+    def k(self) -> int:
+        return len(self.wires)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What :func:`run` executes: each of ``steps`` in turn on a copy of ``values``.
+
+    A step reads and writes value slots. ``values`` holds the K = |0> and
+    S = [[1]] of each fresh wire, and ``None`` where a run fills in
+    ``circuit.matrices`` and the input densities (slots ``inputs``, one per
+    input register) or a step writes. No step writes into an array it reads,
+    so the shared constants stay as they are. ``output`` is the slot of the
+    final state; ``matrix_ids`` are the blocks the steps look up.
+    """
+
+    steps: tuple
+    values: tuple
+    inputs: tuple[int, ...]
+    output: int
+    matrix_ids: tuple[str, ...]
+
+
+class _Planner:
+    """Walks a circuit over its factors' wire lists, building no state, and
+    records every kernel as a step on value slots."""
+
+    def __init__(self, registers):
+        self.values: list = [None, 1.0]  # _MATRICES, _PROB
+        self.steps: list = []  # each a function of the value slots
+        # a register's highest qubit is its most significant bit
+        self.factors = [_Factor(list(reversed(r)), self.slot(), None, 2 ** len(r)) for r in registers]
+        self.inputs = tuple(f.src for f in self.factors)
+
+    def slot(self, value=None) -> int:
+        self.values.append(value)
+        return len(self.values) - 1
+
+    def touching(self, qubits) -> list[_Factor]:
+        """Take out the factors holding any of the qubits, in the order of their
+        first wire in ``qubits``, so a merge keeps the gate's wires close to its
+        order and the axis moves of the gate apply stay small. A qubit no factor
+        holds joins as a fresh |0> factor."""
+        found = []
         for q in qubits:
-            if not any(q in f.wires for f in touching):
-                f = next((f for f in rest if q in f.wires), None)
+            if not any(q in f.wires for f in found):
+                f = next((f for f in self.factors if q in f.wires), None)
                 if f is None:
-                    f = _Factor([q], _ONE, _KET0)
+                    f = _Factor([q], self.slot(_ONE), self.slot(_KET0), 1)
                 else:
-                    rest.remove(f)
-                touching.append(f)
-        return touching, rest
+                    self.factors.remove(f)
+                found.append(f)
+        return found
 
-    def factor_for(self, qubits) -> _Factor:
-        """Factor containing all the qubits, merging factors as needed."""
-        touching, rest = self._split(qubits)
+    def merged(self, qubits) -> _Factor:
+        """The factor holding all the qubits, merging factors as needed."""
+        touching = self.touching(qubits)
         _check_width(sum(f.k for f in touching))
-        merged = touching[0]
-        for f in touching[1:]:
-            merged = merged.merge(f)
-        self.factors = rest + [merged]
-        return merged
+        f = functools.reduce(self.merge, touching)
+        self.factors.append(f)
+        return f
 
-    def trace_out(self, wires) -> None:
-        """Trace the wires out of their factors; drop factors left with none."""
-        touching, rest = self._split(wires)
-        for f in touching:
-            for q in set(wires).intersection(f.wires):
-                f.trace_out(q)
-        self.factors = rest + [f for f in touching if f.k]
+    def merge(self, a: _Factor, b: _Factor) -> _Factor:
+        """kron of the S's, and of the K's when either has one (I for a dense
+        side), into a's slots where it has them: a's wires come first."""
+        src, sb = a.src, b.src
 
-    def controlled_swap(self, g: Gate, traced: set[int]) -> None:
-        """Apply a MULTI_TARGET_CSWAP and trace out the ``traced`` gate wires.
+        def kron_src(v):
+            v[src] = _kron(v[src], v[sb])
 
-        For each control block |c><c'| the output is one einsum over the
-        touching factor tensors, with the control axes sliced to c and c':
-        each paired target wire reads its partner's row label when c = 1
-        and its partner's column label when c' = 1, and each traced wire
-        shares its row and column label so that einsum sums it out. A traced control keeps only
-        the blocks (0, 0) and (1, 1), summed.
+        self.steps.append(kron_src)
+        wires = a.wires + b.wires
+        if a.iso is None and b.iso is None:
+            return _Factor(wires, src, None, a.d * b.d)
+        ka, kb, da, db = a.iso, b.iso, 2**a.k, 2**b.k
+        iso = kb if ka is None else ka
+
+        def kron_iso(v):
+            left = np.eye(da, dtype=complex) if ka is None else v[ka]
+            right = np.eye(db, dtype=complex) if kb is None else v[kb]
+            v[iso] = _kron(left, right)
+
+        self.steps.append(kron_iso)
+        return _Factor(wires, src, iso, a.d * b.d)
+
+    def densify(self, f: _Factor) -> None:
+        """Form ``K S K^dag``; a dense factor stays as it is. This is the one
+        densify rule: every POSTSELECT, trace, MULTI_TARGET_CSWAP and the final
+        state call it on the factors they read, whatever their D."""
+        if f.iso is None:
+            return
+        iso, src = f.iso, f.src
+
+        def form(v):
+            k = v[iso]
+            v[src] = (k @ v[src]) @ k.conj().T
+
+        self.steps.append(form)
+        f.iso, f.d = None, 2**f.k
+
+    def apply(self, g: Gate) -> None:
+        """A unitary gate, with its wires moved to the front of the factor for good."""
+        f = self.merged(g.qubits)
+        pos = [f.wires.index(q) for q in g.qubits]
+        k, dn, dk = f.k, 2 ** len(pos), 2**f.k
+        order = pos + [i for i in range(k) if i not in pos]
+        f.wires = [f.wires[i] for i in order]
+        mid, fixed = g.matrix_id, None if g.matrix_id else _fixed_matrix(g)
+        if f.iso is not None:  # K <- u K; S is never touched
+            slot, view = f.iso, ((2,) * k + (f.d,), _moved(order + [k]), (dn, -1))
+
+            def step(v):
+                u = v[_MATRICES][mid] if mid else fixed
+                v[slot] = (u @ _matrix(v[slot], view)).reshape(dk, -1)
+
+        else:  # a dense factor: u on the rows, then conj(u) on the columns row by row
+            axes = _moved(order + [k + i for i in order])
+            slot, view = f.src, ((2,) * (2 * k), axes, (dn, -1))
+
+            def step(v):
+                u = v[_MATRICES][mid] if mid else fixed
+                rho = (u @ _matrix(v[slot], view)).reshape(dk, dn, -1)
+                v[slot] = (u.conj() @ rho).reshape(dk, dk)
+
+        self.steps.append(step)
+
+    def postselect(self, qubit: int, outcome: int) -> None:
+        f = self.merged((qubit,))
+        self.densify(f)
+        k, pos, src = f.k, f.wires.index(qubit), f.src
+        idx = [slice(None)] * (2 * k)
+        idx[pos] = idx[k + pos] = outcome
+        shape, idx, dk = (2,) * (2 * k), tuple(idx), 2 ** (k - 1)
+
+        def step(v):
+            rho = v[src]
+            total = float(np.trace(rho).real)
+            sub = rho.reshape(shape)[idx].reshape(dk, -1)
+            p = float(np.trace(sub).real) / total if total > 0 else 0.0
+            if p < ZERO_BRANCH_CUTOFF:
+                raise ZeroProbabilityBranch(
+                    f"post-selecting qubit {qubit} on {outcome} has probability {p:.3e}"
+                )
+            v[src] = sub / p
+            v[_PROB] *= p
+
+        self.steps.append(step)
+        f.wires.pop(pos)
+        f.d = dk
+        if not f.wires:
+            self.factors.remove(f)
+
+    def trace_out(self, wires: set[int]) -> None:
+        """Trace the wires out of the factors holding them; a wire no factor
+        holds is a fresh |0>, and a factor left with no wires is dropped."""
+        for f in [f for f in self.factors if wires.intersection(f.wires)]:
+            if wires.issuperset(f.wires):
+                self.factors.remove(f)
+            else:
+                self._trace(f, [i for i, w in enumerate(f.wires) if w in wires])
+
+    def _trace(self, f: _Factor, gone: list[int]) -> None:
+        self.densify(f)
+        k, src = f.k, f.src
+        # one (row, column) axis pair per wire, the last first, so the rest keep their axes
+        pairs = [(p, k - n + p) for n, p in enumerate(reversed(gone))]
+        shape, dk = (2,) * (2 * k), 2 ** (k - len(gone))
+
+        def step(v):  # each partial trace replaces the last, which is freed at once
+            v[src] = v[src].reshape(shape)
+            for a, b in pairs:
+                v[src] = v[src].trace(axis1=a, axis2=b)
+            v[src] = v[src].reshape(dk, dk)
+
+        self.steps.append(step)
+        f.wires = [w for i, w in enumerate(f.wires) if i not in gone]
+        f.d = dk
+
+    def cswap(self, g: Gate, traced: set[int]) -> None:
+        """A MULTI_TARGET_CSWAP together with the trace of the ``traced`` gate wires.
+
+        Each control block |c><c'| is one compiled contraction (see
+        :func:`_network`) over the touching factors, with the control axes
+        sliced to c and c': each paired target wire reads its partner's row
+        label when c = 1 and its partner's column label when c' = 1, and each
+        traced wire shares its row and column label, so it is summed out. A
+        traced control keeps only the blocks (0, 0) and (1, 1), summed; a kept
+        one fills four blocks of a new factor.
         """
         ctrl, n_t = g.qubits[0], g.n_targets
         a, b = g.qubits[1 : 1 + n_t], g.qubits[1 + n_t :]
         swap = dict(zip(a + b, b + a))
-        touching, rest = self._split(g.qubits)
+        touching = self.touching(g.qubits)
         wires = [w for f in touching for w in f.wires if w != ctrl]
         kept = [w for w in wires if w not in traced]
         keep_ctrl = ctrl not in traced
         _check_width(len(kept) + keep_ctrl)
-        if len(wires) + len(kept) > len(_EINSUM_LABELS):
+        if len(wires) + len(kept) > len(_LABELS):
             raise SimulationError(
-                f"contracting {len(wires)} wires needs more than "
-                f"{len(_EINSUM_LABELS)} einsum labels"
+                f"contracting {len(wires)} wires needs more than {len(_LABELS)} einsum labels"
             )
         for f in touching:
-            f.densify()
-        labels = iter(_EINSUM_LABELS)
+            self.densify(f)
+        labels = iter(_LABELS)
         row = {w: next(labels) for w in wires}
         col = {w: row[w] if w in traced else next(labels) for w in wires}
         out = "".join(row[w] for w in kept) + "".join(col[w] for w in kept)
-
-        def block(c: int, cc: int) -> np.ndarray:
-            terms, operands = [], []
+        # touching[0] holds the control (the gate's first qubit) and is sliced at
+        # its control axes; the other factors enter whole
+        k, p = touching[0].k, touching[0].wires.index(ctrl)
+        blocks = []
+        for c, cc in [(0, 0), (1, 1), (0, 1), (1, 0)][: 4 if keep_ctrl else 2]:
+            idx = [slice(None)] * (2 * k)
+            idx[p], idx[k + p] = c, cc
+            terms = []
             for f in touching:
-                rho, fw = f.rho, f.wires
-                if ctrl in fw:
-                    p = fw.index(ctrl)
-                    idx = [slice(None)] * (2 * f.k)
-                    idx[p], idx[f.k + p] = c, cc
-                    rho, fw = rho[tuple(idx)], fw[:p] + fw[p + 1 :]
+                fw = [w for w in f.wires if w != ctrl]
                 terms.append(
                     "".join(row[swap.get(w, w) if c else w] for w in fw)
                     + "".join(col[swap.get(w, w) if cc else w] for w in fw)
                 )
-                operands.append(rho)
-            subscripts = ",".join(terms) + "->" + out
-            path = _einsum_path(subscripts, tuple(o.shape for o in operands))
-            return np.einsum(subscripts, *operands, optimize=path)
+            blocks.append((c, cc, tuple(idx), _network(terms, out)))
+        srcs, shape, dk = tuple(f.src for f in touching), (2,) * (2 * k), 2 ** len(kept)
 
-        if keep_ctrl:  # block (c, c') fills the slice of the merged factor's rho view
-            merged = _Factor([ctrl] + kept, np.empty((2 ** (len(kept) + 1),) * 2, dtype=complex))
-            for c in (0, 1):
-                for cc in (0, 1):
-                    merged.rho[(c,) + (slice(None),) * len(kept) + (cc,)] = block(c, cc)
-        else:
-            merged = _Factor(kept, (block(0, 0) + block(1, 1)).reshape(2 ** len(kept), -1))
-        self.factors = rest + [merged]
+        def step(v):
+            xs = [v[s] for s in srcs]
+            held = xs[0].reshape(shape)
+            parts = []
+            for c, cc, idx, net in blocks:
+                xs[0] = held[idx]
+                parts.append((c, cc, net(list(xs))))
+            if keep_ctrl:  # block (c, c') fills the slice of the new factor's tensor
+                rho = np.empty((2, dk, 2, dk), dtype=complex)
+                for c, cc, part in parts:
+                    rho[c, :, cc, :] = part
+                v[srcs[0]] = rho.reshape(2 * dk, 2 * dk)
+            else:
+                v[srcs[0]] = parts[0][2] + parts[1][2]
 
-    def final_state(self) -> np.ndarray:
+        self.steps.append(step)
+        self.factors.append(_Factor([ctrl] * keep_ctrl + kept, srcs[0], None, dk * (1 + keep_ctrl)))
+
+    def finish(self, matrix_ids: tuple[str, ...]) -> _Plan:
+        """Add the final state: the one factor left, its wires in descending id
+        (MSB first), or the number 1 when every qubit was traced out."""
         wires = sorted((w for f in self.factors for w in f.wires), reverse=True)
-        if not wires:
-            return np.ones((1, 1), dtype=complex)
-        merged = self.factor_for(wires)
-        merged.densify()
-        order = [merged.wires.index(w) for w in wires]  # descending id = MSB first
-        k = merged.k
-        rho = np.transpose(merged.rho, order + [k + i for i in order])
-        return rho.reshape(2**k, 2**k)
+        if wires:
+            f = self.merged(wires)
+            self.densify(f)
+            k, output = f.k, f.src
+            order = [f.wires.index(w) for w in wires]
+            view = ((2,) * (2 * k), _moved(order + [k + i for i in order]), (2**k, 2**k))
+
+            def final(v):
+                v[output] = _matrix(v[output], view)
+
+            self.steps.append(final)
+        else:
+            output = self.slot()
+
+            def final(v):
+                v[output] = np.ones((1, 1), dtype=complex)
+
+            self.steps.append(final)
+        return _Plan(tuple(self.steps), tuple(self.values), self.inputs, output, matrix_ids)
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(gates: tuple[Gate, ...], input_registers: tuple) -> _Plan:
+    """The steps of a run, worked out once per circuit structure.
+
+    It fixes which factor each gate acts on, the merges, each apply's axis
+    moves, the densify points, the wires that retire after each gate and each
+    CSWAP block's compiled contraction, and it checks the width and label
+    limits before any state is built. It never reads a matrix, so every
+    circuit with the same gates and input registers shares one plan.
+    """
+    # each qubit a TRACE_OUT discards leaves after its last gate, or at the
+    # TRACE_OUT itself when no gate touches it
+    retire: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, g in enumerate(gates):
+        if g.kind == "TRACE_OUT":
+            for q in g.qubits:
+                retire.setdefault(q, last.get(q, i))
+        elif retire.keys() & set(g.qubits):
+            raise SimulationError(f"{g.kind} on {g.qubits} after a TRACE_OUT of its qubits")
+        else:
+            last.update(dict.fromkeys(g.qubits, i))
+
+    plan = _Planner(input_registers)
+    for i, g in enumerate(gates):
+        leaving = {q for q in g.qubits if retire.get(q) == i}
+        if g.kind == "MULTI_TARGET_CSWAP":
+            plan.cswap(g, leaving)
+            continue
+        if g.kind == "POSTSELECT":
+            plan.postselect(g.qubits[0], g.outcome)
+        elif g.kind != "TRACE_OUT":
+            plan.apply(g)
+        plan.trace_out(leaving)
+    return plan.finish(tuple(dict.fromkeys(g.matrix_id for g in gates if g.matrix_id)))
 
 
 def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
@@ -349,7 +542,7 @@ def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
     Returns the reduced state over the surviving qubits (ascending index)
     and the product of post-selection probabilities (1.0 when there are
     none). A merge or contraction wider than :data:`MAX_FACTOR_QUBITS`
-    raises :class:`SimulationError` first.
+    raises :class:`SimulationError` before any gate runs.
     """
     regs = circuit.input_registers
     states = states * len(regs) if len(states) == 1 else states
@@ -362,37 +555,18 @@ def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
     # a state given to several registers passes the contract once
     rhos = {(id(s), len(reg)): s for reg, s in zip(regs, states)}
     rhos = {key: density(s, key[1]) for key, s in rhos.items()}
-    # a register's highest qubit is its most significant bit
-    inputs = [_Factor(list(reversed(reg)), rhos[id(s), len(reg)]) for reg, s in zip(regs, states)]
-
-    # each qubit a TRACE_OUT discards leaves after its last gate, or at the
-    # TRACE_OUT itself when no gate touches it
-    retire: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, g in enumerate(circuit.gates):
-        if g.kind == "TRACE_OUT":
-            for q in g.qubits:
-                retire.setdefault(q, last.get(q, i))
-        elif retire.keys() & set(g.qubits):
-            raise SimulationError(f"{g.kind} on {g.qubits} after a TRACE_OUT of its qubits")
-        else:
-            last.update(dict.fromkeys(g.qubits, i))
-
-    eng = _Engine(inputs)
-    for i, g in enumerate(circuit.gates):
-        leaving = {q for q in g.qubits if retire.get(q) == i}
-        if g.kind == "MULTI_TARGET_CSWAP":
-            eng.controlled_swap(g, leaving)
-            continue
-        if g.kind == "POSTSELECT":
-            f = eng.factor_for(g.qubits)
-            eng.success_prob *= f.postselect(g.qubits[0], g.outcome)
-        elif g.kind != "TRACE_OUT":
-            eng.factor_for(g.qubits).apply_matrix(_gate_matrix(g, circuit), g.qubits)
-        eng.trace_out(leaving)
-
-    out = eng.final_state()
-    return DensityMatrix(out, len(out).bit_length() - 1), eng.success_prob
+    plan = _plan(tuple(circuit.gates), tuple(map(tuple, regs)))
+    for mid in plan.matrix_ids:
+        if mid not in circuit.matrices:
+            raise SimulationError(f"missing matrix for block {mid!r}")
+    vals = list(plan.values)
+    vals[_MATRICES] = circuit.matrices
+    for slot, reg, s in zip(plan.inputs, regs, states):
+        vals[slot] = rhos[id(s), len(reg)]
+    for step in plan.steps:
+        step(vals)
+    out = vals[plan.output]
+    return DensityMatrix(out, len(out).bit_length() - 1), vals[_PROB]
 
 
 def tomography_inputs(dim: int) -> dict[str, np.ndarray]:

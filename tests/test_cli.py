@@ -562,6 +562,17 @@ def test_state_num_qubits_must_be_an_int(tmp_path, capsys, num_qubits):
     assert captured.err == f"error: malformed state JSON: num_qubits {num_qubits!r} is not an int\n"
 
 
+@pytest.mark.parametrize("num_qubits", [10000000, -1])
+def test_state_num_qubits_out_of_range(tmp_path, capsys, num_qubits):
+    # 2**10000000 failed in int-to-str conversion; -1 asked for dimension 0.5
+    k = write_kraus(tmp_path / "k.json", identity_set())
+    s = write_state(tmp_path / "s.json", num_qubits, "pure", [[1, 0], [0, 0]])
+    assert main(["simulate", k, s, "--method", "sznagy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: num_qubits {num_qubits} is outside 1..12\n"
+
+
 def pairs(matrix):
     return np.stack([np.real(matrix), np.imag(matrix)], axis=-1).tolist()
 

@@ -503,6 +503,24 @@ def test_width_checked_before_merging():
     assert peak < 64 << 20
 
 
+def test_plan_checks_the_width_before_any_state_is_built():
+    # the same refusal, from the plan, before any factor is built: about 50 kB
+    # here, where refusing at the merge itself peaked at about 800 kB
+    c = assemble_simulation_circuit(random_kraus_set(2, 16, seed=43), "svd", group_size=4, mode="fanout")
+    rho = np.eye(4, dtype=complex) / 4
+    errors = []
+
+    def attempt():
+        try:
+            run(c, rho)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    peak = traced_peak(attempt)
+    assert errors and "12 live qubits" in str(errors[0])
+    assert peak < 256 << 10
+
+
 # --- one wire lifecycle: inputs are factors from the start -------------------
 
 
@@ -656,9 +674,10 @@ def assert_matches_oracle(c, states):
 
 
 @st.composite
-def layered_circuits(draw):
-    """Gates on input and fresh wires in any order, post-selections and traces."""
-    n = draw(st.integers(2, 6))
+def layered_circuits(draw, cswaps=False):
+    """Gates on input and fresh wires in any order, post-selections and traces;
+    with ``cswaps``, MULTI_TARGET_CSWAPs of one or two pairs among the gates."""
+    n = draw(st.integers(3 if cswaps else 2, 6))
     wires = draw(st.permutations(range(n)))
     held = draw(st.integers(0, n - 1))
     inner = draw(st.sets(st.integers(1, held - 1), max_size=2)) if held > 1 else set()
@@ -666,9 +685,12 @@ def layered_circuits(draw):
     regs = [tuple(wires[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
     gates = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from([h, t, rz, ry, cnot, "opaque"]))
+        kind = draw(st.sampled_from([h, t, rz, ry, cnot, "opaque"] + ["cswap"] * cswaps))
         on = draw(st.permutations(range(n)))
-        if kind in (rz, ry):
+        if kind == "cswap":
+            k = draw(st.integers(1, min(2, (n - 1) // 2)))
+            gates.append(multi_target_cswap_gate(on[0], zip(on[1 : 1 + k], on[1 + k : 1 + 2 * k])))
+        elif kind in (rz, ry):
             gates.append(kind(on[0], draw(st.floats(-7, 7))))
         elif kind is cnot:
             gates.append(cnot(on[0], on[1]))
@@ -689,9 +711,7 @@ def layered_circuits(draw):
     return n, regs, gates
 
 
-@settings(deadline=None, max_examples=150)
-@given(layered_circuits(), st.integers(0, 2**32 - 1), st.booleans())
-def test_isometry_factors_match_dense_oracle(shape, seed, pure):
+def check_against_oracle(shape, seed, pure):
     n, regs, gates = shape
     rng = np.random.default_rng(seed)
     make = haar_density if pure else random_density
@@ -702,6 +722,20 @@ def test_isometry_factors_match_dense_oracle(shape, seed, pure):
     got, p = run(c, *states)
     assert abs(p - p_want) <= 1e-12
     assert max_abs(got.matrix - want) <= 1e-12
+
+
+@settings(deadline=None, max_examples=150)
+@given(layered_circuits(), st.integers(0, 2**32 - 1), st.booleans())
+def test_isometry_factors_match_dense_oracle(shape, seed, pure):
+    check_against_oracle(shape, seed, pure)
+
+
+@settings(deadline=None, max_examples=150)
+@given(layered_circuits(cswaps=True), st.integers(0, 2**32 - 1), st.booleans())
+def test_compiled_cswap_contractions_match_dense_oracle(shape, seed, pure):
+    # one or two pairs, a kept or traced control, and input and fresh wires,
+    # among the elementary gates, opaque blocks, post-selections and traces
+    check_against_oracle(shape, seed, pure)
 
 
 def test_opaque_block_with_fresh_wires_between_held_wires():
@@ -834,3 +868,82 @@ def test_fixed_inputs_refuse_a_transposed_block(monkeypatch, method, l):
     with pytest.raises(EquivalenceFailure, match="input"):
         verify_equivalence(k, method, group_size=l)
 
+
+# --- one plan per circuit structure ---------------------------------------------
+
+
+def test_circuits_that_differ_in_matrices_share_a_plan():
+    gates = [h(3), (3, 1, 0), multi_target_cswap_gate(4, [(0, 2)]), (4, 2), trace_out((2, 3))]
+    rng = np.random.default_rng(70)
+    rho = random_density(rng, 4)
+    a, b = (opaque_circuit(gates, 5, [(0, 1)], seed) for seed in (71, 72))
+    assert a.gates == b.gates
+    assert_matches_oracle(a, [rho])
+    assert_matches_oracle(b, [rho])
+    assert max_abs(run(a, rho)[0].matrix - run(b, rho)[0].matrix) > 1e-3
+    assert simulator._plan(tuple(a.gates), a.input_registers) is simulator._plan(
+        tuple(b.gates), b.input_registers
+    )
+
+
+def test_gate_appended_after_a_run_changes_the_next_run():
+    rng = np.random.default_rng(73)
+    rho = random_density(rng, 4)
+    c = opaque_circuit([(1, 0), cnot(0, 2)], 3, [(0, 1)], 74)
+    assert_matches_oracle(c, [rho])
+    before = run(c, rho)[0].matrix
+    c.add(h(2))
+    assert_matches_oracle(c, [rho])
+    assert max_abs(run(c, rho)[0].matrix - before) > 1e-3
+
+
+def test_missing_matrix_names_the_block_with_a_plan_cached():
+    c = opaque_circuit([(1, 0), h(0)], 2, [(0, 1)], 75)
+    rho = np.eye(4, dtype=complex) / 4
+    run(c, rho)
+    del c.matrices["u0"]
+    with pytest.raises(SimulationError, match="missing matrix for block 'u0'"):
+        run(c, rho)
+
+
+@pytest.mark.parametrize("method", ["svd", "sznagy"])
+def test_warm_run_searches_no_contraction_path(monkeypatch, method):
+    c = assemble_simulation_circuit(random_kraus_set(2, 16, seed=76), method, group_size=4)
+    rho = random_density(np.random.default_rng(77), 4)
+    want = run(c, rho)[0].matrix
+    calls = []
+
+    def counted(name):
+        real = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("einsum", "einsum_path"):
+        monkeypatch.setattr(np, name, counted(name))
+    got = run(c, rho)[0].matrix
+    assert calls == []
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "gates, width",
+    [([h(0), cnot(0, 1)], 4), ([h(0), trace_out((0, 1))], 1)],
+    ids=["fresh-wires-only", "all-traced"],
+)
+def test_output_that_needs_no_input_is_fresh_on_every_run(gates, width):
+    # such an output comes from the plan's steps alone; it must still be a new,
+    # writable array on each run, never one the cached plan holds
+    c = circuit_of(gates, 2)
+    first = run(c)[0].matrix
+    want = first.copy()
+    assert first.shape == (width, width)
+    first[...] = 7
+    second = run(c)[0].matrix
+    assert second is not first
+    assert np.array_equal(second, want)
+    second[...] = 0
+    assert np.array_equal(run(c)[0].matrix, want)
