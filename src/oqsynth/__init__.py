@@ -10,7 +10,6 @@ file-based I/O.
 
 from .channel import (
     FMOParams,
-    GroupedKrausSet,
     KrausSet,
     apply_channel,
     fmo_kraus_set,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FMOParams",
-    "GroupedKrausSet",
     "KrausSet",
     "apply_channel",
     "fmo_kraus_set",

@@ -5,6 +5,9 @@ circuit simulation is checked against, reproducible random channel
 generation, the operator-grouping scheme that packs several Kraus operators
 into one expanded operator, and the discretized exciton-transport channel
 used as the worked physical example.
+
+A Kraus stack is one (m, d, d) complex array, operator k at index k; every
+channel sum is one batched matmul reduced over axis 0 in operator order.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ def next_power_of_two(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """A validated collection of Kraus operators on a power-of-two space.
+    """A validated stack of Kraus operators on a power-of-two space.
 
-    ``deviation`` records ``||sum_k M_k^dag M_k - I||_max`` at validation time.
+    ``operators`` is the (m, d, d) complex stack; ``deviation`` records
+    ``||sum_k M_k^dag M_k - I||_max`` at validation time.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     dim: int
     num_qubits: int
     deviation: float
@@ -79,59 +83,38 @@ class KrausSet:
         return self.num_operators <= self.dim**2
 
 
-@dataclass(frozen=True, eq=False)
-class GroupedKrausSet:
-    """Kraus operators re-packed in groups of ``group_size`` on an expanded space.
-
-    Each group stacks ``group_size`` original operators in the first ``dim``
-    columns of an expanded operator of size ``group_size * dim``. One last
-    operator carries the identity on the non-initial block and restores trace
-    preservation on the expanded space; at ``group_size == 1`` it is zero.
-    """
-
-    base: KrausSet
-    group_size: int
-    expanded_dim: int
-    operators: tuple[np.ndarray, ...]
-
-    @property
-    def branch_operators(self) -> tuple[np.ndarray, ...]:
-        return self.operators[:-1]
+def _completeness(ops: np.ndarray) -> np.ndarray:
+    """``sum_k M_k^dag M_k`` of an (m, d, d) stack, summed in operator order."""
+    return (dagger(ops) @ ops).sum(axis=0)
 
 
 def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
-    """Validate trace preservation and wrap the operators in a KrausSet.
+    """Validate trace preservation and stack a copy of the operators in a KrausSet.
 
-    Raises :class:`NotTracePreservingError` when the completeness sum
-    deviates from the identity by more than ``tol``,
+    ``ops`` is an (m, d, d) array or a sequence of d x d matrices. Raises
+    :class:`NotTracePreservingError` when the completeness sum deviates from
+    the identity by more than ``tol``,
     :class:`DimensionMismatchError` for ragged, non-square or 1x1 input and
     :class:`NotPowerOfTwoError` when the dimension is not a qubit count.
     """
-    mats = [np.array(op, dtype=complex) for op in ops]
+    mats = [np.asarray(op, dtype=complex) for op in ops]
     if not mats:
         raise DimensionMismatchError("a Kraus set needs at least one operator")
     d = mats[0].shape[0]
     for m in mats:
-        if m.ndim != 2 or m.shape != (d, d):
-            raise DimensionMismatchError(
-                f"all operators must be {d}x{d}, got {m.shape}"
-            )
+        if m.shape != (d, d):
+            raise DimensionMismatchError(f"all operators must be {d}x{d}, got {m.shape}")
     if d < 2:
         raise DimensionMismatchError(f"dimension {d} has no qubit; a Kraus set needs dim >= 2")
     if not is_power_of_two(d):
         raise NotPowerOfTwoError(f"dimension {d} is not a power of two")
-    total = sum(dagger(m) @ m for m in mats)
-    dev = max_abs(total - np.eye(d))
+    stack = np.array(mats)
+    dev = max_abs(_completeness(stack) - np.eye(d))
     if not dev <= tol:
         raise NotTracePreservingError(
             f"sum M^dag M deviates from identity by {dev:.3e} (tol {tol})"
         )
-    return KrausSet(
-        operators=tuple(mats),
-        dim=d,
-        num_qubits=int(math.log2(d)),
-        deviation=dev,
-    )
+    return KrausSet(operators=stack, dim=d, num_qubits=int(math.log2(d)), deviation=dev)
 
 
 def pad_to_power_of_two(kset: KrausSet) -> KrausSet:
@@ -143,7 +126,7 @@ def pad_to_power_of_two(kset: KrausSet) -> KrausSet:
     if is_power_of_two(m):
         return kset
     zeros = np.zeros((next_power_of_two(m) - m, kset.dim, kset.dim), dtype=complex)
-    return replace(kset, operators=kset.operators + tuple(zeros))
+    return replace(kset, operators=np.concatenate([kset.operators, zeros]))
 
 
 def apply_channel(kset: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -156,10 +139,7 @@ def apply_channel(kset: KrausSet, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match channel dimension {kset.dim}"
         )
-    out = np.zeros_like(rho)
-    for m in kset.operators:
-        out += m @ rho @ dagger(m)
-    return out
+    return (kset.operators @ rho @ dagger(kset.operators)).sum(axis=0)
 
 
 def random_kraus_set(num_qubits: int, num_operators: int, seed: int) -> KrausSet:
@@ -174,26 +154,26 @@ def random_kraus_set(num_qubits: int, num_operators: int, seed: int) -> KrausSet
         raise ValueError("need num_qubits >= 1 and num_operators >= 1")
     rng = np.random.default_rng(seed)
     d = 2**num_qubits
-    gs = [
+    gs = np.array([
         (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
         for _ in range(num_operators)
-    ]
-    s = sum(dagger(g) @ g for g in gs)
-    w, v = np.linalg.eigh(s)
+    ])
+    w, v = np.linalg.eigh(_completeness(gs))
     inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
-    return validate_cptp([g @ inv_sqrt for g in gs], tol=1e-10)
+    return validate_cptp(gs @ inv_sqrt, tol=1e-10)
 
 
-def group_kraus(kset: KrausSet, group_size: int) -> GroupedKrausSet:
-    """Pack ``group_size`` Kraus operators into each expanded operator.
+def group_kraus(kset: KrausSet, group_size: int) -> np.ndarray:
+    """The (m/l + 1, l*d, l*d) stack that packs l = ``group_size`` Kraus operators
+    into each expanded operator.
 
     ``group_size`` must be a power of two that divides m, as it is for any
     group size up to m of a ``pad_to_power_of_two`` set. One reshape stacks
-    each run of ``group_size`` operators in the first ``dim`` columns of a
-    ``group_size*dim`` square matrix (zeros elsewhere), and one final operator
-    holds the identity on the non-initial block so the expanded set is again
-    trace preserving. At ``group_size == 1`` the groups are the base operators
-    and the final block is zero.
+    each run of l operators in the first d columns of an l*d square matrix
+    (zeros elsewhere): these m/l slices are the branches. The last slice holds
+    the identity on the non-initial block so the expanded set is again trace
+    preserving. At l = 1 the branches are the base operators and the last
+    slice is zero.
     """
     m, d = kset.num_operators, kset.dim
     if not is_power_of_two(group_size):
@@ -207,49 +187,44 @@ def group_kraus(kset: KrausSet, group_size: int) -> GroupedKrausSet:
     expanded[:b, :, :d] = np.reshape(kset.operators, (b, ld, d))
     expanded[b, d:, d:] = np.eye(ld - d)
 
-    total = sum(dagger(op) @ op for op in expanded)
-    dev = max_abs(total - np.eye(ld))
+    dev = max_abs(_completeness(expanded) - np.eye(ld))
     if not dev <= max(1e-9, 10 * kset.deviation):
-        raise NotTracePreservingError(
-            f"expanded set deviates from identity by {dev:.3e}"
-        )
-    return GroupedKrausSet(
-        base=kset,
-        group_size=group_size,
-        expanded_dim=ld,
-        operators=tuple(expanded),
-    )
+        raise NotTracePreservingError(f"expanded set deviates from identity by {dev:.3e}")
+    return expanded
 
 
-def expand_state(grouped: GroupedKrausSet, rho: np.ndarray) -> np.ndarray:
+def _group_dims(stack: np.ndarray) -> tuple[int, int]:
+    """(l, d) of a :func:`group_kraus` stack: its last slice is the identity on
+    all but the first d of its l*d dimensions, so its trace is l*d - d."""
+    ld = stack.shape[-1]
+    d = ld - round(np.trace(stack[-1]).real)
+    return ld // d, d
+
+
+def expand_state(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Embed a base-space state as (grouping register in |0..0>) x rho."""
     rho = np.asarray(rho, dtype=complex)
-    d = grouped.base.dim
+    l, d = _group_dims(stack)
     if rho.shape != (d, d):
         raise DimensionMismatchError(f"state shape {rho.shape}, expected {(d, d)}")
-    zero = np.zeros((grouped.group_size, grouped.group_size), dtype=complex)
+    zero = np.zeros((l, l), dtype=complex)
     zero[0, 0] = 1.0
     return np.kron(zero, rho)
 
 
-def reduce_state(grouped: GroupedKrausSet, rho_expanded: np.ndarray) -> np.ndarray:
+def reduce_state(stack: np.ndarray, rho_expanded: np.ndarray) -> np.ndarray:
     """Trace the grouping subsystem out of an expanded-space state."""
-    return partial_trace(
-        rho_expanded, [grouped.group_size, grouped.base.dim], keep={1}
-    )
+    return partial_trace(rho_expanded, _group_dims(stack), keep={1})
 
 
-def apply_grouped(grouped: GroupedKrausSet, rho: np.ndarray) -> np.ndarray:
-    """Apply the expanded operators to the embedded state and trace back.
+def apply_grouped(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply a :func:`group_kraus` stack to the embedded state and trace back.
 
     Equals ``apply_channel`` on the base set; this is the grouping
     trace-out identity.
     """
-    emb = expand_state(grouped, rho)
-    out = np.zeros_like(emb)
-    for op in grouped.operators:
-        out += op @ emb @ dagger(op)
-    return reduce_state(grouped, out)
+    emb = expand_state(stack, rho)
+    return reduce_state(stack, (stack @ emb @ dagger(stack)).sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -269,8 +244,7 @@ FMO_INITIAL_KETS = (1, 2, 4)
 def fmo_initial_state() -> np.ndarray:
     """Density matrix of the default single-exciton superposition input."""
     psi = np.zeros(8, dtype=complex)
-    for k in FMO_INITIAL_KETS:
-        psi[k] = 1 / np.sqrt(3)
+    psi[list(FMO_INITIAL_KETS)] = 1 / np.sqrt(3)
     return np.outer(psi, psi.conj())
 
 
@@ -286,28 +260,15 @@ def fmo_kraus_set(params: FMOParams = FMOParams()) -> KrausSet:
     for name in ("alpha", "beta", "gamma", "dt"):
         if not getattr(params, name) >= 0:
             raise InvalidRatesError(f"{name} must be non-negative")
-    a = params.alpha * params.dt
-    b = params.beta * params.dt
-    g = params.gamma * params.dt
+    a, b, g = (rate * params.dt for rate in (params.alpha, params.beta, params.gamma))
     if not all(x <= 1.0 for x in (a, b, g)):
         raise InvalidRatesError("rate * dt must stay within [0, 1]")
 
-    def ketbra(i: int, j: int, scale: float) -> np.ndarray:
-        m = np.zeros((8, 8), dtype=complex)
-        m[i, j] = np.sqrt(scale)
-        return m
-
-    ops = [None] * 8
-    ops[1] = ketbra(1, 1, a)
-    ops[2] = ketbra(2, 2, a)
-    ops[3] = ketbra(3, 3, a)
-    ops[4] = ketbra(0, 1, b)
-    ops[5] = ketbra(0, 2, b)
-    ops[6] = ketbra(0, 3, b)
-    ops[7] = ketbra(4, 3, g)
-    total = sum(dagger(m) @ m for m in ops[1:])
+    # M_k = sqrt(rate * dt) |i><j| for k = 1..7
+    ops = np.zeros((8, 8, 8), dtype=complex)
+    ops[range(1, 8), [1, 2, 3, 0, 0, 0, 4], [1, 2, 3, 1, 2, 3, 3]] = np.sqrt([a, a, a, b, b, b, g])
     try:
-        ops[0] = psd_sqrt(np.eye(8) - total, tol=1e-10)
+        ops[0] = psd_sqrt(np.eye(8) - _completeness(ops[1:]), tol=1e-10)
     except NotPSDError as exc:
         raise InvalidRatesError(f"rates leave no PSD remainder: {exc}") from exc
     return validate_cptp(ops, tol=1e-10)
@@ -356,10 +317,7 @@ def fmo_trajectory(
 
 
 def kraus_to_json_dict(kset: KrausSet) -> dict:
-    return {
-        "dim": kset.dim,
-        "operators": [matrix_to_pairs(m) for m in kset.operators],
-    }
+    return {"dim": kset.dim, "operators": matrix_to_pairs(kset.operators)}
 
 
 def kraus_from_json_dict(data: dict, validate: bool = True, tol: float = 1e-9) -> KrausSet:
@@ -368,10 +326,11 @@ def kraus_from_json_dict(data: dict, validate: bool = True, tol: float = 1e-9) -
         dim = data["dim"]
         if type(dim) is not int:  # 2.9, "2" and true are not sizes
             raise TypeError(f"dim {dim!r} is not an int")
-        mats = [pairs_to_matrix(rows) for rows in data["operators"]]
-        for m in mats:
-            if m.shape != (dim, dim):
-                raise ValueError(f"operator shape {m.shape} is not {(dim, dim)}")
+        ops = data["operators"]
+        # an empty list reaches validate_cptp, which names it
+        stack = pairs_to_matrix(ops) if ops else np.empty((0, dim, dim))
+        if stack.shape[1:] != (dim, dim):
+            raise ValueError(f"operator shape {stack.shape[1:]} is not {(dim, dim)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"malformed Kraus JSON: {exc}") from exc
-    return validate_cptp(mats, tol=tol if validate else math.inf)
+    return validate_cptp(stack, tol=tol if validate else math.inf)

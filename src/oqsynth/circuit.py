@@ -451,10 +451,10 @@ def assemble_simulation_circuit(
             circ.add(trace_out(env))
         return circ
 
-    grouped = group_kraus(kset, group_size)
+    stack = group_kraus(kset, group_size)
     g = int(math.log2(group_size))
     q = n + g + 1
-    branches = grouped.branch_operators
+    branches = stack[:-1]  # the last slice is the identity block
     b_count = len(branches)
     cost = costmodel.dilation_cost(method, n, group_size=group_size)
 
@@ -478,7 +478,7 @@ def assemble_simulation_circuit(
             _add_block(circ, dilated, f"branch{i}_sznagy", u, cost.depth, cost.cnot)
         else:
             u, u_sigma, vdag = svd_dilation(op)
-            half_cnot, half_depth = costmodel.svd_unitary_block(grouped.expanded_dim)
+            half_cnot, half_depth = costmodel.svd_unitary_block(stack.shape[-1])
             _add_block(circ, expanded, f"branch{i}_vdag", vdag, half_depth, half_cnot)
             circ.add(h(dil))
             _add_block(circ, dilated, f"branch{i}_usigma", u_sigma, cost.diag_gates, 0.0)
@@ -681,7 +681,8 @@ _STRUCTURE_TO_SPACE = bytes.maketrans(b"[],", b"   ")
 @functools.lru_cache(maxsize=8)
 def _skeleton(r: int, c: int) -> bytes:
     """What :func:`_template` leaves once its numbers and whitespace are removed."""
-    return _template(r, c).replace("%r", "").encode().translate(None, _SPACE)
+    row = b"[" + b",".join([b"[,]"] * c) + b"]"
+    return b"[" + b",".join([row] * r) + b"]"
 
 
 def _read_matrix(text_and_start, scan_once):

@@ -51,8 +51,9 @@ def _load_state(path: str):
         raw = data["data"]
         if kind not in ("pure", "density"):
             raise _InputError(f"unknown state kind {kind!r}")
-        # a pure state is one row of amplitudes
-        m = pairs_to_matrix([raw])[0] if kind == "pure" else pairs_to_matrix(raw)
+        m = pairs_to_matrix(raw)
+        if m.ndim != (1 if kind == "pure" else 2):  # a row of amplitudes or a grid
+            raise ValueError(f"expected rows of [re, im] pairs, got shape {m.shape + (2,)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"malformed state JSON: {exc}") from exc
     return simulator.density(m, n)
@@ -159,11 +160,8 @@ def cmd_fmo(args) -> int:
     rho0 = _load_state(args.init) if args.init else channel.fmo_initial_state()
     traj = channel.fmo_trajectory(params, rho0, args.steps)
     lines = ["step,time_fs,p_site0,p_site1,p_site2,p_site3,p_site4,trace"]
-    for step in range(traj.steps + 1):
-        cols = [str(step), format_float(traj.times_fs[step])]
-        cols += [format_float(x) for x in traj.populations[step]]
-        cols.append(format_float(traj.traces[step]))
-        lines.append(",".join(cols))
+    for step, (t, pops, trace) in enumerate(zip(traj.times_fs, traj.populations, traj.traces)):
+        lines.append(",".join([str(step), *map(format_float, [t, *pops, trace])]))
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_files((args.out, text))

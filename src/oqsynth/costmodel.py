@@ -248,7 +248,18 @@ def combined_cost(
     overlaps the branch blocks). Success probability is group_size / m,
     or 1 for the deterministic stacked-isometry route, which is the
     one-branch case: group size 1 whatever ``group_size`` says, no mixer.
+    A point whose figures do not fit a finite float raises ``ValueError``.
     """
+    try:
+        r = _combined_cost(method, n, m, group_size, mode)
+    except OverflowError:  # an int figure beyond the float range
+        r = None
+    if r is None or not all(map(math.isfinite, (r.depth, r.cnot_count, r.uncounted_cnot_bound))):
+        raise ValueError(f"the cost figures of n = {n}, m = {m}, l = {group_size} overflow a float")
+    return r
+
+
+def _combined_cost(method: str, n: int, m: int, group_size: int, mode: str) -> CostReport:
     _check_method(method)
     _check_mode(mode)
     if n < 1:

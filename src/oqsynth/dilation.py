@@ -34,12 +34,12 @@ class NotContractionError(DilationError):
 
 
 def stinespring_isometry(kset: KrausSet) -> np.ndarray:
-    """Stack the Kraus operators into one (md x d) isometry.
+    """The Kraus stack read as one (md x d) isometry, a view of ``kset.operators``.
 
     Tracing the log2(m)-qubit environment out of ``V rho V^dag`` reproduces
     the channel exactly, with success probability 1.
     """
-    return np.vstack(kset.operators)
+    return kset.operators.reshape(-1, kset.dim)
 
 
 def _contraction_svd(m: np.ndarray):

@@ -39,8 +39,8 @@ class ConvergenceFailure(LinalgError):
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -94,24 +94,29 @@ def svd_factorize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested ``[re, im]`` lists of a complex matrix, row-major (JSON form)."""
+    """Nested ``[re, im]`` lists of a complex array of any rank, row-major (JSON form)."""
     m = np.asarray(m)
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def pairs_to_matrix(rows) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`.
+def pairs_to_matrix(pairs) -> np.ndarray:
+    """Inverse of :func:`matrix_to_pairs`: nested ``[re, im]`` pairs of any rank.
 
-    Raises ``ValueError`` unless ``rows`` is an r x c grid of finite
-    ``[re, im]`` pairs of numbers: numpy would read a string or a bool as one.
+    The result has the shape of ``pairs`` without its last axis; the caller
+    checks the rank. Raises ``ValueError`` unless ``pairs`` is a regular nest
+    of finite ``[re, im]`` pairs of numbers: numpy would read a string or a
+    bool as one.
     """
     try:
-        a = np.asarray(rows, dtype=float)
+        a = np.asarray(pairs, dtype=float)
     except OverflowError as exc:  # an int literal beyond the float range
         raise ValueError(f"matrix entry out of range: {exc}") from exc
-    if a.ndim != 3 or a.shape[2] != 2:
+    if a.ndim == 0 or a.shape[-1] != 2:
         raise ValueError(f"expected rows of [re, im] pairs, got shape {a.shape}")
-    kinds = set(map(type, chain.from_iterable(chain.from_iterable(rows))))
+    entries = pairs
+    for _ in range(a.ndim - 1):
+        entries = chain.from_iterable(entries)
+    kinds = set(map(type, entries))
     bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, (int, float)))
     if bad:
         raise ValueError(f"a matrix entry of type {bad[0]} is not a number")

@@ -149,7 +149,7 @@ def test_criterion_6_grouping_cptp_identity():
         rng = np.random.default_rng(606)
         kset = random_kraus_set(2, 4, seed=606)
         grouped = group_kraus(kset, 2)
-        total = sum(dagger(op) @ op for op in grouped.operators)
+        total = sum(dagger(op) @ op for op in grouped)
         assert max_abs(total - np.eye(8)) <= 1e-10
         for _ in range(5):
             rho = random_density(rng, 4)

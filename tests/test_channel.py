@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqsynth.channel import (
+    ChannelError,
     FMOParams,
     InvalidGroupSizeError,
     InvalidRatesError,
     NotPowerOfTwoError,
     NotTracePreservingError,
+    _completeness,
     apply_channel,
     apply_grouped,
     expand_state,
@@ -77,7 +81,7 @@ class TestPadToPowerOfTwo:
         k = random_kraus_set(2, m, seed=m)
         p = pad_to_power_of_two(k)
         assert p.num_operators == padded
-        assert p.operators[:m] == k.operators
+        assert np.array_equal(p.operators[:m], k.operators)
         assert all(not op.any() and op.shape == (4, 4) for op in p.operators[m:])
         assert p.deviation == k.deviation
         rho = random_density(np.random.default_rng(m), 4)
@@ -137,12 +141,12 @@ class TestGroupKraus:
     def test_group_of_one_returns_base(self):
         k = random_kraus_set(1, 4, seed=5)
         g = group_kraus(k, 1)
-        assert len(g.operators) == 5
-        for got, want in zip(g.operators, k.operators):
+        assert len(g) == 5
+        for got, want in zip(g, k.operators):
             assert np.array_equal(got, want)
-        assert np.array_equal(g.operators[-1], np.zeros((2, 2)))  # the identity block
-        assert g.expanded_dim == k.dim
-        assert len(g.branch_operators) == 4
+        assert np.array_equal(g[-1], np.zeros((2, 2)))  # the identity block
+        assert g.shape[-1] == k.dim
+        assert len(g[:-1]) == 4
 
     @pytest.mark.parametrize(
         "n,m,l", [(1, 4, 2), (1, 4, 1), (1, 4, 4), (2, 8, 2), (2, 8, 8)]
@@ -158,15 +162,15 @@ class TestGroupKraus:
         ]
         want.append(np.block([[one if r == c > 0 else z for c in range(l)] for r in range(l)]))
         g = group_kraus(k, l)
-        assert len(g.operators) == m // l + 1
-        assert len(g.branch_operators) == m // l
-        for got, w in zip(g.operators, want):
+        assert len(g) == m // l + 1
+        assert len(g[:-1]) == m // l
+        for got, w in zip(g, want):
             assert max_abs(got - w) == 0.0
 
     def test_expanded_set_trace_preserving(self):
         k = random_kraus_set(2, 4, seed=11)
         g = group_kraus(k, 2)
-        total = sum(dagger(op) @ op for op in g.operators)
+        total = sum(dagger(op) @ op for op in g)
         assert max_abs(total - np.eye(8)) <= 1e-10
 
     def test_partial_group_padding(self):
@@ -175,10 +179,10 @@ class TestGroupKraus:
         with pytest.raises(InvalidGroupSizeError, match="m = 3"):
             group_kraus(k, 2)
         g = group_kraus(pad_to_power_of_two(k), 2)
-        assert len(g.operators) == 3
+        assert len(g) == 3
         z = np.zeros((2, 2), dtype=complex)
-        assert np.array_equal(g.operators[1], np.block([[k.operators[2], z], [z, z]]))
-        total = sum(dagger(op) @ op for op in g.operators)
+        assert np.array_equal(g[1], np.block([[k.operators[2], z], [z, z]]))
+        total = sum(dagger(op) @ op for op in g)
         assert max_abs(total - np.eye(4)) <= 1e-10
 
     def test_trace_out_identity(self):
@@ -197,7 +201,7 @@ class TestGroupKraus:
         k = random_kraus_set(1, 4, seed=23)
         g = group_kraus(k, 2)
         emb = expand_state(g, random_density(rng, 2))
-        ident = g.operators[-1]
+        ident = g[-1]
         assert max_abs(ident @ emb) == 0.0
 
     def test_invalid_group_sizes(self):
@@ -334,3 +338,104 @@ def test_fmo_non_finite_rates_are_invalid(params):
 def test_fmo_trajectory_rejects_negative_steps():
     with pytest.raises(ValueError, match="steps must be non-negative, got -1"):
         fmo_trajectory(FMOParams(), fmo_initial_state(), steps=-1)
+
+
+# --- stack sums against the per-operator loops they replaced ---------------------
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def loop_completeness(ops):
+    return sum(dagger(m) @ m for m in ops)
+
+
+def loop_kraus_sum(ops, rho):
+    out = np.zeros_like(rho)
+    for m in ops:
+        out += m @ rho @ dagger(m)
+    return out
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+KRAUS_SETS = st.one_of(
+    st.builds(random_kraus_set, st.integers(1, 3), st.integers(1, 9), SEEDS),
+    # zero blocks
+    st.builds(
+        lambda n, m, seed: pad_to_power_of_two(random_kraus_set(n, m, seed)),
+        st.integers(1, 3),
+        st.integers(1, 9),
+        SEEDS,
+    ),
+    # exact zeros everywhere but a few entries
+    st.sampled_from(
+        [FMOParams(), FMOParams(beta=0.0), FMOParams(alpha=0, beta=0, gamma=0)]
+    ).map(fmo_kraus_set),
+)
+
+
+def states(dim, seed):
+    """A random density and the sparse |0><0|."""
+    sparse = np.zeros((dim, dim), dtype=complex)
+    sparse[0, 0] = 1.0
+    return random_density(np.random.default_rng(seed), dim), sparse
+
+
+@settings(deadline=None, max_examples=150)
+@given(KRAUS_SETS, SEEDS, st.integers(0, 4))
+def test_stack_sums_equal_the_per_operator_loops_bit_for_bit(k, seed, j):
+    ops = k.operators
+    assert same_bits(_completeness(ops), loop_completeness(list(ops)))
+    for rho in states(k.dim, seed):
+        assert same_bits(apply_channel(k, rho), loop_kraus_sum(list(ops), rho))
+    padded = pad_to_power_of_two(k)
+    zeros = np.zeros((padded.num_operators - k.num_operators, k.dim, k.dim), dtype=complex)
+    assert same_bits(padded.operators, np.array(list(ops) + list(zeros)))
+    l = 2 ** min(j, int(np.log2(padded.num_operators)))
+    g = group_kraus(padded, l)
+    assert same_bits(_completeness(g), loop_completeness(list(g)))
+    for rho in states(k.dim, seed):
+        want = reduce_state(g, loop_kraus_sum(list(g), expand_state(g, rho)))
+        assert same_bits(apply_grouped(g, rho), want)
+
+
+Z, ONE = [0.0, 0.0], [1.0, 0.0]
+KRAUS_REFUSALS = {
+    # numpy names the raggedness; its wording varies by version after this prefix
+    "ragged operator": (
+        {"dim": 2, "operators": [[[ONE, Z], [Z]]]},
+        "malformed Kraus JSON: setting an array element with a sequence",
+    ),
+    "operators of two sizes": (
+        {"dim": 2, "operators": [[[ONE, Z], [Z, ONE]], [[ONE]]]},
+        "malformed Kraus JSON: setting an array element with a sequence",
+    ),
+    "wrong dim": (
+        {"dim": 4, "operators": [[[ONE, Z], [Z, ONE]]]},
+        "malformed Kraus JSON: operator shape (2, 2) is not (4, 4)",
+    ),
+    "bool entry": (
+        {"dim": 2, "operators": [[[[True, 0.0], Z], [Z, ONE]]]},
+        "malformed Kraus JSON: a matrix entry of type bool is not a number",
+    ),
+    "string entry": (
+        {"dim": 2, "operators": [[[["1", 0.0], Z], [Z, ONE]]]},
+        "malformed Kraus JSON: a matrix entry of type str is not a number",
+    ),
+    "NaN entry": (
+        {"dim": 2, "operators": [[[[float("nan"), 0.0], Z], [Z, ONE]]]},
+        "malformed Kraus JSON: matrix entries must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("data,message", KRAUS_REFUSALS.values(), ids=KRAUS_REFUSALS)
+def test_kraus_json_refusal_messages(data, message):
+    with pytest.raises(ChannelError) as exc:
+        kraus_from_json_dict(data, validate=False)
+    assert str(exc.value).startswith(message)
+
+
+def test_empty_kraus_json_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match="^a Kraus set needs at least one operator$"):
+        kraus_from_json_dict({"dim": 2, "operators": []})

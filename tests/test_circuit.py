@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oqsynth import costmodel
+from oqsynth import circuit, costmodel
 from oqsynth.channel import NotPowerOfTwoError, random_kraus_set, validate_cptp
 from oqsynth.circuit import (
     Circuit,
@@ -802,6 +802,20 @@ def test_parse_sidecar_reads_numbers_with_float_grammar():
 def test_parse_sidecar_refuses_malformed_matrix(text):
     with pytest.raises(CircuitError):
         parse_sidecar(text)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 7), (16, 16)])
+def test_skeleton_is_the_template_without_numbers_and_whitespace(shape):
+    stripped = circuit._template(*shape).replace("%r", "").encode().translate(None, b" \t\n\r")
+    assert circuit._skeleton(*shape) == stripped
+
+
+def test_reading_a_sidecar_caches_no_writer_template():
+    # the reader's skeleton is built from (r, c); a 256 x 256 template is 1.7 MB
+    text = json.dumps({"a": matrix_to_pairs(np.ones((5, 6)))}, indent=1)
+    circuit._template.cache_clear()
+    parse_sidecar(text)
+    assert circuit._template.cache_info().currsize == 0
 
 
 # --- native text round trip ----------------------------------------------------

@@ -260,6 +260,22 @@ class TestCost:
         assert captured.out == ""
         assert captured.err == f"error: system qubit count n = {n} must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2000", "--method", "sznagy"],
+            ["--n", "2000", "--method", "stinespring"],
+            ["--n", "600", "--method", "svd"],
+            ["--n", "600", "--method", "svd", "--sweep-groups"],
+        ],
+    )
+    def test_figures_beyond_the_float_range_are_one_line(self, argv, capsys):
+        assert main(["cost", "--m", "4", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        n = argv[1]
+        assert captured.err == f"error: the cost figures of n = {n}, m = 4, l = 1 overflow a float\n"
+
 
 PADDING_WARNING = "warning: padding operator count from 3 to 4 with zero blocks\n"
 

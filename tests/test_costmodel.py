@@ -118,6 +118,22 @@ class TestCombinedCost:
         with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
             combined_cost("sznagy", n, 4)
 
+    # an int figure beyond the float range (n = 2000, 600 or m = 2^1100) or a
+    # float sum that rounds to inf (n = 511: sznagy's CNOT count was "inf")
+    @pytest.mark.parametrize(
+        "method,n,m",
+        [("sznagy", 2000, 4), ("stinespring", 2000, 4), ("svd", 600, 4), ("sznagy", 511, 4),
+         ("sznagy", 2, 2**1100)],
+    )
+    def test_rejects_figures_beyond_the_float_range(self, method, n, m):
+        message = f"^the cost figures of n = {n}, m = {m}, l = 1 overflow a float$"
+        with pytest.raises(ValueError, match=message):
+            combined_cost(method, n, m)
+
+    def test_largest_figures_are_finite(self):
+        r = combined_cost("svd", 509, 4)
+        assert math.isfinite(r.cnot_count) and r.cnot_count > 1e306
+
     def test_svd_probabilities(self):
         r1 = combined_cost("svd", 2, 16, group_size=1)
         assert r1.success_probability == pytest.approx(1 / 16)

@@ -142,7 +142,7 @@ class TestSzNagy:
 
         k = random_kraus_set(1, 4, seed=47)
         g = group_kraus(k, 4)
-        assert is_unitary(sznagy_unitary(g.operators[0]), 1e-11)
+        assert is_unitary(sznagy_unitary(g[0]), 1e-11)
 
 
 class TestSvdDilation:
