@@ -100,6 +100,8 @@ def validate_cptp(ops, tol: float = 1e-9) -> KrausSet:
     mats = [np.asarray(op, dtype=complex) for op in ops]
     if not mats:
         raise DimensionMismatchError("a Kraus set needs at least one operator")
+    if not mats[0].shape:
+        raise DimensionMismatchError(f"operators must be d x d matrices, got {mats[0].shape}")
     d = mats[0].shape[0]
     for m in mats:
         if m.shape != (d, d):

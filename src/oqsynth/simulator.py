@@ -7,10 +7,9 @@ input register is one factor from the start, any other qubit joins as a
 fresh |0> factor when a gate first touches it, and factors merge only when
 a gate spans them. Every qubit a TRACE_OUT discards leaves once, right
 after its last gate (or at the TRACE_OUT when no gate touches it). A
-MULTI_TARGET_CSWAP is contracted straight from the factor tensors it
-touches, together with the trace of the wires that leave after it, so a
-mixing tree over many branch registers never builds more than the
-surviving register (never the two registers plus their control).
+MULTI_TARGET_CSWAP that merges two registers of a mixing tree is one weighted
+sum of their densities (:meth:`_Planner.cswap`), so the tree never builds more
+than the surviving register; any other is one controlled swap per pair.
 
 A factor over k wires holds ``rho = K S K^dag``; S (D x D) is its one density
 field and K is 2^k x D. A dense factor, as an input register starts, has no K
@@ -19,21 +18,20 @@ the K's when either has one. While D < 2^k a unitary gate updates K <- u K
 and never touches S, so a dilation block costs one product with a K that has
 only as many columns as the input has dimensions; a dense factor takes the
 two-sided ``u rho u^dag``. K S K^dag is formed once, before a POSTSELECT, a
-trace, a MULTI_TARGET_CSWAP or the final state.
+trace, a mix or the final state.
 
 A run is planned once, then executed. ``_plan`` walks the gates over the
 factors' wire lists without building any state, once per circuit structure
 (the gates and the input registers; matrix values play no part). It fixes the
 factor each gate acts on, the merges, the axis moves of each apply, the
-densify points and the wires that retire after each gate; it compiles each
-CSWAP control block into trace, reshape and ``matmul`` steps; and it checks
-the width and label limits. The plan holds no state and no matrix (only
+densify points, the wires that retire after each gate and which CSWAPs mix,
+and it checks the width limit. The plan holds no state and no matrix (only
 the |0> and [[1]] of a fresh wire), and :func:`run` executes its steps, so
 both inputs of a verification, and every circuit of one shape, share one
 plan. Per input, on a 2-vCPU Xeon with numpy 2.4.6 on one BLAS thread, with
-the plan cached, n=2, m=16 svd l=4 shared runs in 0.27 ms (1.0 ms gate by
-gate), sznagy l=4 in 0.21 ms (0.80 ms) and n=3, m=16 svd l=16 in 0.50-0.62
-ms (0.65-0.83 ms).
+the plan cached, n=2, m=16 svd l=4 shared runs in 0.23-0.33 ms (1.0 ms gate
+by gate), sznagy l=4 in 0.17-0.21 ms (0.80 ms) and n=3, m=16 svd l=16 in
+0.49-0.51 ms (0.65-0.83 ms).
 
 Global basis convention: qubit 0 is the least significant bit.
 """
@@ -43,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +56,6 @@ ZERO_BRANCH_CUTOFF = 1e-14
 MAX_FACTOR_QUBITS = 12
 PROBABILITY_TOL = 1e-12
 STATE_TOL = 1e-9  # how far an input density may stray from Hermitian, trace 1 and PSD
-# labels of a contraction's axes: 52 keep every tensor under numpy's 64 dimensions
-_LABELS = string.ascii_letters
 
 
 class SimulationError(Exception):
@@ -80,6 +75,7 @@ _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _FIXED = {"H": HADAMARD, "T": _T, "TDG": _T.conj().T, "CNOT": _CNOT}
 _KET0 = np.array([[1.0], [0.0]], dtype=complex)  # K of a fresh |0> wire
 _ONE = np.ones((1, 1), dtype=complex)  # its source density
+_CSWAP = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]  # on (control, a, b), MSB first
 _MATRICES, _PROB = 0, 1  # the value slots of circuit.matrices and the success probability
 
 
@@ -153,64 +149,12 @@ def _moved(axes: list[int]) -> list[int] | None:
     return None if axes == sorted(axes) else axes
 
 
-def _view(term: str, rows, cols) -> tuple:
-    """Shape, axes and matrix shape that turn a (2,) * len(term) tensor into the
-    matrix with the labels ``rows`` on its rows and ``cols`` on its columns (a
-    label in both is read at its first and its second axis)."""
-    axes = [term.index(x) for x in rows] + [term.rindex(x) for x in cols]
-    return (2,) * len(term), _moved(axes), (2 ** len(rows), 2 ** len(cols))
-
-
 def _matrix(x: np.ndarray, view: tuple) -> np.ndarray:
-    """``x`` (any shape of the right size) through a :func:`_view`."""
+    """``x`` (any shape of the right size) as ``shape``, moved to ``axes``, as ``flat``."""
     shape, axes, flat = view
     if axes is None:
         return x.reshape(flat)
     return x.reshape(shape).transpose(axes).reshape(flat)
-
-
-def _network(terms: list[str], out: str):
-    """Compile a contraction in which every label occurs twice among ``terms`` and ``out``.
-
-    Each term names the axes of one tensor of shape (2,) * len(term); ``out``
-    names the rows, then the columns, of the square result. A label twice in
-    one term is summed over that tensor's diagonal first. The tensors are then
-    contracted two at a time, the pair with the smallest result first, each
-    pair by one ``matmul`` over the labels they share (a broadcast product when
-    they share none: cheaper for the scalars a traced register leaves), and a
-    last transpose puts the axes in ``out`` order. Shapes, axes and order are
-    fixed here, so a call parses no subscripts and searches no path. Returns
-    ``contract(tensors)``.
-    """
-    terms, traces, pairs = list(terms), [], []
-    for i, t in enumerate(terms):
-        if twice := [x for x in dict.fromkeys(t) if t.count(x) == 2]:
-            free = [x for x in t if x not in twice]
-            shape, axes, _ = _view(t, free + twice, twice)
-            traces.append((i, (shape, axes, (2 ** len(free),) + (2 ** len(twice),) * 2)))
-            terms[i] = "".join(free)
-    while len(terms) > 1:
-        i, j = min(
-            itertools.combinations(range(len(terms)), 2),
-            key=lambda ij: len(set(terms[ij[0]]) ^ set(terms[ij[1]])),
-        )
-        tj, ti = terms.pop(j), terms.pop(i)  # i < j
-        shared = [x for x in ti if x in tj]
-        fi, fj = [x for x in ti if x not in tj], [x for x in tj if x not in ti]
-        pairs.append((i, j, _view(ti, fi, shared), _view(tj, shared, fj)))
-        terms.append("".join(fi + fj))
-    final = _view(terms[0], out[: len(out) // 2], out[len(out) // 2 :])
-
-    def contract(xs: list) -> np.ndarray:
-        for i, view in traces:
-            xs[i] = _matrix(xs[i], view).trace(axis1=1, axis2=2)
-        for i, j, view_a, view_b in pairs:
-            b, a = xs.pop(j), xs.pop(i)
-            a, b = _matrix(a, view_a), _matrix(b, view_b)
-            xs.append(a @ b if a.shape[1] > 1 else a * b)
-        return _matrix(xs[0], final)
-
-    return contract
 
 
 class _Factor:
@@ -314,8 +258,8 @@ class _Planner:
 
     def densify(self, f: _Factor) -> None:
         """Form ``K S K^dag``; a dense factor stays as it is. This is the one
-        densify rule: every POSTSELECT, trace, MULTI_TARGET_CSWAP and the final
-        state call it on the factors they read, whatever their D."""
+        densify rule: every POSTSELECT, trace, mix and the final state call it
+        on the factors they read, whatever their D."""
         if f.iso is None:
             return
         iso, src = f.iso, f.src
@@ -327,14 +271,15 @@ class _Planner:
         self.steps.append(form)
         f.iso, f.d = None, 2**f.k
 
-    def apply(self, g: Gate) -> None:
-        """A unitary gate, with its wires moved to the front of the factor for good."""
-        f = self.merged(g.qubits)
-        pos = [f.wires.index(q) for q in g.qubits]
+    def apply(self, qubits, u) -> None:
+        """The unitary ``u`` (a matrix, or the id of a block in ``circuit.matrices``)
+        on ``qubits``, with their wires moved to the front of the factor for good."""
+        f = self.merged(qubits)
+        pos = [f.wires.index(q) for q in qubits]
         k, dn, dk = f.k, 2 ** len(pos), 2**f.k
         order = pos + [i for i in range(k) if i not in pos]
         f.wires = [f.wires[i] for i in order]
-        mid, fixed = g.matrix_id, None if g.matrix_id else _fixed_matrix(g)
+        mid, fixed = (u, None) if isinstance(u, str) else (None, u)
         if f.iso is not None:  # K <- u K; S is never touched
             slot, view = f.iso, ((2,) * k + (f.d,), _moved(order + [k]), (dn, -1))
 
@@ -406,68 +351,62 @@ class _Planner:
         f.d = dk
 
     def cswap(self, g: Gate, traced: set[int]) -> None:
-        """A MULTI_TARGET_CSWAP together with the trace of the ``traced`` gate wires.
+        """A MULTI_TARGET_CSWAP whose ``traced`` wires leave right after it.
 
-        Each control block |c><c'| is one compiled contraction (see
-        :func:`_network`) over the touching factors, with the control axes
-        sliced to c and c': each paired target wire reads its partner's row
-        label when c = 1 and its partner's column label when c' = 1, and each
-        traced wire shares its row and column label, so it is summed out. A
-        traced control keeps only the blocks (0, 0) and (1, 1), summed; a kept
-        one fills four blocks of a new factor.
+        A mixer merge is one step: its control c is a factor of its own and
+        retires here, the pairs' a side and b side are one factor each, all of b
+        retires here and some of a stays. With c traced out, and then b, the
+        swap leaves ``rho_a <- c[0,0] tr(rho_b) rho_a + c[1,1] tr(rho_a) P(rho_b)``,
+        where P puts rho_b on a's wires. Wires of a that retire here leave a,
+        and their partners b, before the mix, so nothing wider than the
+        surviving register is formed. Any other CSWAP is one controlled swap
+        per pair, applied as a gate; the traced wires then leave at the
+        caller's :meth:`trace_out`, which finds none left after a mix.
         """
         ctrl, n_t = g.qubits[0], g.n_targets
         a, b = g.qubits[1 : 1 + n_t], g.qubits[1 + n_t :]
-        swap = dict(zip(a + b, b + a))
-        touching = self.touching(g.qubits)
-        wires = [w for f in touching for w in f.wires if w != ctrl]
-        kept = [w for w in wires if w not in traced]
-        keep_ctrl = ctrl not in traced
-        _check_width(len(kept) + keep_ctrl)
-        if len(wires) + len(kept) > len(_LABELS):
-            raise SimulationError(
-                f"contracting {len(wires)} wires needs more than {len(_LABELS)} einsum labels"
-            )
-        for f in touching:
+        owner = {w: f for f in self.factors for w in f.wires}
+        fc, fa, fb = owner.get(ctrl), owner.get(a[0]), owner.get(b[0])
+        if not (
+            fc and fa and fb and fc.wires == [ctrl] and ctrl in traced
+            and set(fa.wires) == set(a) and set(fb.wires) == set(b)
+            and traced.issuperset(b) and not traced.issuperset(a)
+        ):
+            for pair in zip(a, b):
+                self.apply((ctrl,) + pair, _CSWAP)
+            return
+        partner = dict(zip(a, b))
+
+        def total(f: _Factor, leaving: list[int]) -> int:
+            """Trace the ``leaving`` wires out of f; the slot of tr(rho_f), summed first."""
             self.densify(f)
-        labels = iter(_LABELS)
-        row = {w: next(labels) for w in wires}
-        col = {w: row[w] if w in traced else next(labels) for w in wires}
-        out = "".join(row[w] for w in kept) + "".join(col[w] for w in kept)
-        # touching[0] holds the control (the gate's first qubit) and is sliced at
-        # its control axes; the other factors enter whole
-        k, p = touching[0].k, touching[0].wires.index(ctrl)
-        blocks = []
-        for c, cc in [(0, 0), (1, 1), (0, 1), (1, 0)][: 4 if keep_ctrl else 2]:
-            idx = [slice(None)] * (2 * k)
-            idx[p], idx[k + p] = c, cc
-            terms = []
-            for f in touching:
-                fw = [w for w in f.wires if w != ctrl]
-                terms.append(
-                    "".join(row[swap.get(w, w) if c else w] for w in fw)
-                    + "".join(col[swap.get(w, w) if cc else w] for w in fw)
-                )
-            blocks.append((c, cc, tuple(idx), _network(terms, out)))
-        srcs, shape, dk = tuple(f.src for f in touching), (2,) * (2 * k), 2 ** len(kept)
+            src, slot = f.src, self.slot()
 
-        def step(v):
-            xs = [v[s] for s in srcs]
-            held = xs[0].reshape(shape)
-            parts = []
-            for c, cc, idx, net in blocks:
-                xs[0] = held[idx]
-                parts.append((c, cc, net(list(xs))))
-            if keep_ctrl:  # block (c, c') fills the slice of the new factor's tensor
-                rho = np.empty((2, dk, 2, dk), dtype=complex)
-                for c, cc, part in parts:
-                    rho[c, :, cc, :] = part
-                v[srcs[0]] = rho.reshape(2 * dk, 2 * dk)
-            else:
-                v[srcs[0]] = parts[0][2] + parts[1][2]
+            def step(v):
+                v[slot] = np.trace(v[src])
 
-        self.steps.append(step)
-        self.factors.append(_Factor([ctrl] * keep_ctrl + kept, srcs[0], None, dk * (1 + keep_ctrl)))
+            self.steps.append(step)
+            if leaving:
+                self._trace(f, sorted(f.wires.index(w) for w in leaving))
+            return slot
+
+        gone = [w for w in fa.wires if w in traced]
+        # b first: its whole density is traced down before a's is formed
+        tb, ta = total(fb, [partner[w] for w in gone]), total(fa, gone)
+        self.densify(fc)
+        k, sc, sa, sb = fa.k, fc.src, fa.src, fb.src
+        axes = [fb.wires.index(partner[w]) for w in fa.wires]
+        view = ((2,) * (2 * k), _moved(axes + [k + i for i in axes]), (2**k, 2**k))
+
+        def mix(v):
+            c = v[sc]
+            out = _matrix(v[sb], view) * (c[1, 1] * v[ta])
+            out += (c[0, 0] * v[tb]) * v[sa]
+            v[sa], v[sb] = out, None  # b is gone: free it now
+
+        self.steps.append(mix)
+        self.factors.remove(fc)
+        self.factors.remove(fb)
 
     def finish(self, matrix_ids: tuple[str, ...]) -> _Plan:
         """Add the final state: the one factor left, its wires in descending id
@@ -499,10 +438,10 @@ def _plan(gates: tuple[Gate, ...], input_registers: tuple) -> _Plan:
     """The steps of a run, worked out once per circuit structure.
 
     It fixes which factor each gate acts on, the merges, each apply's axis
-    moves, the densify points, the wires that retire after each gate and each
-    CSWAP block's compiled contraction, and it checks the width and label
-    limits before any state is built. It never reads a matrix, so every
-    circuit with the same gates and input registers shares one plan.
+    moves, the densify points, the wires that retire after each gate and which
+    CSWAPs mix, and it checks the width limit before any state is built. It
+    never reads a matrix, so every circuit with the same gates and input
+    registers shares one plan.
     """
     # each qubit a TRACE_OUT discards leaves after its last gate, or at the
     # TRACE_OUT itself when no gate touches it
@@ -522,11 +461,10 @@ def _plan(gates: tuple[Gate, ...], input_registers: tuple) -> _Plan:
         leaving = {q for q in g.qubits if retire.get(q) == i}
         if g.kind == "MULTI_TARGET_CSWAP":
             plan.cswap(g, leaving)
-            continue
-        if g.kind == "POSTSELECT":
+        elif g.kind == "POSTSELECT":
             plan.postselect(g.qubits[0], g.outcome)
         elif g.kind != "TRACE_OUT":
-            plan.apply(g)
+            plan.apply(g.qubits, g.matrix_id or _fixed_matrix(g))
         plan.trace_out(leaving)
     return plan.finish(tuple(dict.fromkeys(g.matrix_id for g in gates if g.matrix_id)))
 
@@ -541,8 +479,8 @@ def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
     a gate on a qubit after its TRACE_OUT raises :class:`SimulationError`.
     Returns the reduced state over the surviving qubits (ascending index)
     and the product of post-selection probabilities (1.0 when there are
-    none). A merge or contraction wider than :data:`MAX_FACTOR_QUBITS`
-    raises :class:`SimulationError` before any gate runs.
+    none). A merge wider than :data:`MAX_FACTOR_QUBITS` raises
+    :class:`SimulationError` before any gate runs.
     """
     regs = circuit.input_registers
     states = states * len(regs) if len(states) == 1 else states

@@ -59,6 +59,11 @@ class TestValidateCptp:
         with pytest.raises(DimensionMismatchError):
             validate_cptp([np.eye(2, dtype=complex), np.eye(4, dtype=complex)])
 
+    def test_scalar_operator_rejected(self):
+        msg = r"^operators must be d x d matrices, got \(\)$"
+        with pytest.raises(DimensionMismatchError, match=msg):
+            validate_cptp([5])
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(NotPowerOfTwoError):
             validate_cptp([np.eye(3, dtype=complex)])

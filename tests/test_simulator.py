@@ -421,6 +421,28 @@ FUSED_CASES = {
         ],
         (4, 5, 6),
     ),
+    # mixer merges: one mix step each
+    "mix-with-a-kept-wire-retiring": (
+        [(0, 1, 2), (3, 4, 5)],
+        [ry(6, 0.7), multi_target_cswap_gate(6, [(0, 3), (1, 4), (2, 5)])],
+        (1, 3, 4, 5, 6),
+    ),
+    "mix-with-reversed-pairs": (
+        [(0, 1, 2), (3, 4, 5)],
+        [h(6), multi_target_cswap_gate(6, [(0, 5), (1, 4), (2, 3)])],
+        (3, 4, 5, 6),
+    ),
+    # the shape of a mixer merge, but the control or the b side is kept
+    "whole-registers-control-kept": (
+        [(0, 1, 2), (3, 4, 5)],
+        [ry(6, 1.3), multi_target_cswap_gate(6, [(0, 3), (1, 4), (2, 5)])],
+        (3, 4, 5),
+    ),
+    "whole-registers-b-side-kept": (
+        [(0, 1, 2), (3, 4, 5)],
+        [h(6), multi_target_cswap_gate(6, [(0, 3), (1, 4), (2, 5)])],
+        (6,),
+    ),
 }
 
 
@@ -449,19 +471,6 @@ def test_fused_cswap_output_width_is_checked_first():
         run(c, random_density(rng, 128), random_density(rng, 128))
 
 
-def test_fused_cswap_einsum_label_limit():
-    # fourteen 3-qubit registers with every wire paired: 42 wires, of which
-    # 11 are kept, need 53 einsum labels, over numpy's 52, while the output
-    # stays inside the factor limit
-    regs = [tuple(range(3 * i, 3 * i + 3)) for i in range(14)]
-    pairs = [(w, w + 21) for w in range(21)]
-    gates = [h(42), multi_target_cswap_gate(42, pairs), trace_out((42,) + tuple(range(11, 42)))]
-    c = circuit_of(gates, 43, inputs=regs)
-    rho = np.eye(8, dtype=complex) / 8
-    with pytest.raises(SimulationError, match="einsum labels"):
-        run(c, rho)
-
-
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -469,6 +478,68 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_wide_cswap_that_is_not_a_mixer_merge_is_refused_while_planning():
+    # fourteen 3-qubit registers with every wire paired: the a side spans seven
+    # factors, so the swap lowers pair by pair, and merging the pairs' factors
+    # passes 12 qubits; the plan refuses it before any state is built
+    regs = [tuple(range(3 * i, 3 * i + 3)) for i in range(14)]
+    pairs = [(w, w + 21) for w in range(21)]
+    gates = [h(42), multi_target_cswap_gate(42, pairs), trace_out((42,) + tuple(range(11, 42)))]
+    c = circuit_of(gates, 43, inputs=regs)
+    rho = np.eye(8, dtype=complex) / 8
+    errors = []
+
+    def attempt():
+        try:
+            run(c, rho)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    peak = traced_peak(attempt)
+    assert errors and "12 live qubits" in str(errors[0])
+    assert peak < 256 << 10
+
+
+def per_pair_lowerings(circuits, monkeypatch) -> int:
+    """Controlled swaps the planner applies pair by pair over ``circuits``."""
+    calls = []
+    apply = simulator._Planner.apply
+
+    def spy(self, qubits, u):
+        calls.append(u is simulator._CSWAP)
+        apply(self, qubits, u)
+
+    monkeypatch.setattr(simulator._Planner, "apply", spy)
+    for c in circuits:  # past the plan cache, so every circuit is planned here
+        simulator._plan.__wrapped__(tuple(c.gates), tuple(map(tuple, c.input_registers)))
+    monkeypatch.undo()
+    return sum(calls)
+
+
+def test_every_library_cswap_takes_the_mix_step(monkeypatch):
+    assembled = [
+        assemble_simulation_circuit(random_kraus_set(n, m, seed=n + m), method, group_size=l)
+        for n in (1, 2, 3)
+        for m in (2, 4, 8, 16)
+        for method in ("sznagy", "svd")
+        for l in (2**i for i in range(m.bit_length()))
+    ]
+    mixers = [
+        build_mixer(b, q, weights=w)
+        for b in (2, 4, 8)
+        for q in (1, 2, 3)
+        for w in (None, range(1, b + 1))
+    ]
+    circuits = assembled + mixers
+    swaps = [g for c in circuits for g in c.gates if g.kind == "MULTI_TARGET_CSWAP"]
+    assert len(swaps) > 300  # 252 assembled, 66 from build_mixer
+    assert per_pair_lowerings(circuits, monkeypatch) == 0
+    # the spy sees a swap that is no mixer merge: its a side is not one factor
+    regs, gates, _ = FUSED_CASES["one-pair-control-traced"]
+    hand_built = circuit_of(gates + [trace_out((6,))], 7, inputs=regs)
+    assert per_pair_lowerings([hand_built], monkeypatch) == 1
 
 
 @pytest.mark.parametrize("n,m,l", [(3, 8, 4), (3, 16, 8)])
