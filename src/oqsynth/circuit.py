@@ -619,23 +619,23 @@ def _parse_gate(ln: str, num_qubits: int) -> Gate:
     return Gate(kind, _qubits(tokens, num_qubits), **fields)
 
 
+_BLOCK_PAIRS = 4096  # the writer fills at most this many pairs (and at least one row) at a time
 # one [re, im] pair laid out as json's indent=1 form: the literal text of a pair
 # whose parts are both +0.0, and the two ``%r`` slots of any other pair
 _PAIRS = np.array(["   [\n    0.0,\n    0.0\n   ]", "   [\n    %r,\n    %r\n   ]"], dtype=object)
 
 
-def _frame(written: np.ndarray) -> str:
-    """The ``%``-template of a matrix laid out as json's indent=1 form, with
-    slots for the pairs where ``written`` is true."""
+def _rows(written: np.ndarray) -> str:
+    """The ``%``-template of a block of rows laid out as json's indent=1 form,
+    with slots for the pairs where ``written`` is true."""
     pairs = _PAIRS[written.view(np.int8)].tolist()  # the two strings, not copies
-    rows = ("  [\n" + ",\n".join(row) + "\n  ]" for row in pairs)
-    return "[\n" + ",\n".join(rows) + "\n ]"
+    return ",\n".join("  [\n" + ",\n".join(row) + "\n  ]" for row in pairs)
 
 
 @functools.lru_cache(maxsize=8)
-def _template(r: int, c: int) -> str:
-    """The ``%``-template of an r x c matrix whose every pair is written."""
-    return _frame(np.ones((r, c), dtype=bool))
+def _full_rows(r: int, c: int) -> str:
+    """The ``%``-template of r rows of c pairs, every pair written."""
+    return _rows(np.ones((r, c), dtype=bool))
 
 
 def opaque_sidecar(circ: Circuit) -> str:
@@ -644,19 +644,20 @@ def opaque_sidecar(circ: Circuit) -> str:
     Byte contract: identical to ``json.dumps(payload, indent=1)`` of the
     payload ``{mid: matrix_to_pairs(m)}`` in sorted id order; finite,
     non-empty 2-D complex matrices only. Anything else raises CircuitError
-    before a byte is written (json would write ``NaN``, which
+    before any text is built (json would write ``NaN``, which
     :func:`parse_sidecar` rejects, and ``[]``, which the template cannot
     reproduce).
 
-    Each matrix is one ``%`` fill of a template laid out as json's indent=1
-    form (json's indented encoder runs a Python generator per value). ``%r``
-    of a float is ``float.__repr__``, the text json writes for a finite float,
-    and only the written pairs are formatted: a pair whose two parts are both
-    +0.0 (all 128 bits zero; a -0.0 has its sign bit set) is literal
-    ``0.0, 0.0`` text, as most of a sznagy or svd block is. A matrix with no
-    such pair fills the cached all-slot template of its shape.
+    Each matrix is filled in blocks of whole rows, at most ``_BLOCK_PAIRS`` pairs
+    (or one row) each, by one ``%`` fill of a template laid out as json's
+    indent=1 form; one ``"".join`` of the pieces is the only whole-text copy.
+    ``%r`` of a float is ``float.__repr__``, the text json writes for a finite
+    float. Only the written pairs are formatted: a pair whose two parts are both
+    +0.0 (all 128 bits zero; a -0.0 has its sign bit set) is literal ``0.0, 0.0``
+    text, as most of a sznagy or svd block is; a block with no such pair fills
+    the cached all-slot template of its shape.
     """
-    entries = []
+    checked = []
     for mid, mat in sorted(circ.matrices.items()):
         a = np.asarray(mat, dtype=complex)
         if a.ndim != 2 or 0 in a.shape:
@@ -665,22 +666,30 @@ def opaque_sidecar(circ: Circuit) -> str:
             )
         if not np.isfinite(a).all():
             raise CircuitError(f"matrix {mid!r} has a non-finite entry")
-        pairs = np.stack([a.real, a.imag], -1)
-        written = pairs.view(np.uint64).any(-1)
-        template = _template(*a.shape) if written.all() else _frame(written)
-        text = template % tuple(pairs[written].ravel().tolist())
-        entries.append(f" {json.dumps(mid)}: " + text)
-    return "{\n" + ",\n".join(entries) + "\n}" if entries else "{}"
+        checked.append((mid, np.ascontiguousarray(a)))
+    pieces = []
+    for mid, a in checked:
+        pieces.append(f"{',' if pieces else '{'}\n {json.dumps(mid)}: [\n")
+        step = max(_BLOCK_PAIRS // a.shape[1], 1)
+        for top in range(0, a.shape[0], step):
+            pairs = a[top : top + step].view(float).reshape(-1, a.shape[1], 2)
+            written = pairs.view(np.uint64).any(-1)
+            template = _full_rows(*written.shape) if written.all() else _rows(written)
+            pieces += (",\n" if top else "", template % tuple(pairs[written].ravel().tolist()))
+        pieces.append("\n ]")
+    return "".join([*pieces, "\n}"]) if pieces else "{}"
 
 
+_CHUNK = 1 << 16  # the reader encodes and splits at most about this many chars at a time
 _NUMBER = b"0123456789+-.eE"
+_NOT_NUMBER = re.compile(f"[^{re.escape(_NUMBER.decode())}]")  # where the reader may cut a body
 _SPACE = b" \t\n\r"  # json's whitespace
 _STRUCTURE_TO_SPACE = bytes.maketrans(b"[],", b"   ")
 
 
 @functools.lru_cache(maxsize=8)
 def _skeleton(r: int, c: int) -> bytes:
-    """What :func:`_template` leaves once its numbers and whitespace are removed."""
+    """What an r x c matrix's text leaves once its numbers and whitespace are removed."""
     row = b"[" + b",".join([b"[,]"] * c) + b"]"
     return b"[" + b",".join([row] * r) + b"]"
 
@@ -689,24 +698,33 @@ def _read_matrix(text_and_start, scan_once):
     """json's ``parse_array`` hook: the array opening at ``text[start - 1]`` as one
     r x c matrix, and the index just past it.
 
-    The array ends at the last ``]`` before the next ``"`` or ``}``. Without its
-    numbers and whitespace it must be ``_skeleton(r, c)``, and it must hold
-    2 r c number tokens, each read by one ``np.array`` pass."""
+    The array ends at the last ``]`` before the next ``"`` or ``}``. It is read twice
+    in chunks of about ``_CHUNK`` chars: without its numbers and whitespace it must
+    be ``_skeleton(r, c)``, and then its 2 r c number tokens fill the values array."""
     text, start = text_and_start
     quote = text.find('"', start)
     stop = len(text) if quote < 0 else quote
     brace = text.find("}", start, stop)
     end = text.rfind("]", start, stop if brace < 0 else brace) + 1
-    body = text[start - 1 : end].encode("ascii")
-    skeleton = body.translate(None, _NUMBER + _SPACE)
+    cuts = [start - 1]  # chunk bounds, each before a non-number char: no number is cut
+    while cuts[-1] < end:
+        edge = _NOT_NUMBER.search(text, min(cuts[-1] + _CHUNK, end), end)
+        cuts.append(edge.start() if edge else end)
+    chunks = list(zip(cuts, cuts[1:]))
+    pieces = (text[a:b].encode("ascii").translate(None, _NUMBER + _SPACE) for a, b in chunks)
+    skeleton = b"".join(pieces)
     c = max(skeleton.find(b"]]") // 4, 1)  # a row is "[" + "[,]," * (c - 1) + "[,]]"
     r = max((len(skeleton) - 1) // (4 * c + 2), 1)
     if skeleton != _skeleton(r, c):
         raise ValueError(f"the array at char {start - 1} is not a grid of [re, im] pairs")
-    tokens = body.translate(_STRUCTURE_TO_SPACE).split()
-    if len(tokens) != 2 * r * c:
-        raise ValueError(f"the {r} x {c} matrix at char {start - 1} holds {len(tokens)} numbers")
-    values = np.array(tokens, dtype=float)
+    values, count = np.empty(2 * r * c), 0
+    for a, b in chunks:
+        tokens = text[a:b].encode("ascii").translate(_STRUCTURE_TO_SPACE).split()
+        if count + len(tokens) <= len(values):
+            values[count : count + len(tokens)] = np.array(tokens, dtype=float)
+        count += len(tokens)
+    if count != 2 * r * c:
+        raise ValueError(f"the {r} x {c} matrix at char {start - 1} holds {count} numbers")
     if not np.isfinite(values).all():
         raise ValueError(f"the matrix at char {start - 1} has a non-finite entry")
     # each [re, im] pair reinterpreted in place: bit-exact, signed zeros kept

@@ -26,6 +26,7 @@ from .linalg import LinalgError, pairs_to_matrix
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
+_WRITE_SLICE = 1 << 16  # chars encoded per write: no bytes copy of a whole file is made
 
 
 def _load_json(path: str):
@@ -60,9 +61,9 @@ def _load_state(path: str):
 
 
 def _write_files(*files: tuple[str, str]) -> None:
-    """Write each (path, text) in turn; when one fails, remove the files this
-    call created, so a refused run leaves nothing behind. A path that existed
-    before (a file it overwrote, or a device such as /dev/stdout) is kept."""
+    """Write each (path, text) in turn, ``_WRITE_SLICE`` chars at a time; when one
+    fails, remove the files this call created, so a refused run leaves nothing
+    behind. A path that existed before (a file it overwrote, or /dev/stdout) is kept."""
     created = []
     try:
         for path, text in files:
@@ -70,7 +71,8 @@ def _write_files(*files: tuple[str, str]) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 if new:
                     created.append(path)
-                fh.write(text)
+                for start in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[start : start + _WRITE_SLICE])
     except OSError as exc:
         for done in created:
             with contextlib.suppress(OSError):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -36,6 +37,7 @@ from oqsynth.circuit import (
     tdg,
     trace_out,
 )
+from oqsynth.dilation import svd_dilation
 from oqsynth.linalg import matrix_to_pairs
 from oqsynth.linalg import max_abs
 
@@ -748,9 +750,9 @@ def test_parse_sidecar_raises_only_circuit_error(text):
         parse_sidecar(text)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.dictionaries(st.text(max_size=6), FINITE_MATRICES, max_size=3))
-def test_parse_sidecar_reads_every_layout_bit_exact(matrices):
+def assert_reads_every_layout(matrices):
+    """The writer's indent=1 text, compact json and a tab/CRLF layout all read
+    back bit-exact."""
     payload = {mid: matrix_to_pairs(m) for mid, m in matrices.items()}
     spaced = json.dumps(payload, indent="\t", separators=(" ,\r\n", " : "), ensure_ascii=False)
     for text in (sidecar_of(matrices), json.dumps(payload), spaced):
@@ -759,6 +761,24 @@ def test_parse_sidecar_reads_every_layout_bit_exact(matrices):
         for mid, m in matrices.items():
             assert back[mid].shape == m.shape
             assert back[mid].tobytes() == m.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.text(max_size=6), FINITE_MATRICES, max_size=3))
+def test_parse_sidecar_reads_every_layout_bit_exact(matrices):
+    assert_reads_every_layout(matrices)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(st.text(max_size=6), FINITE_MATRICES, max_size=3), st.integers(1, 7))
+def test_codec_in_tiny_pieces(matrices, chunk):
+    # one row per writer block and a reader chunk of a few chars put a cut
+    # beside every token: the bytes and the values stay the same
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuit, "_BLOCK_PAIRS", 1)
+        mp.setattr(circuit, "_CHUNK", chunk)
+        assert sidecar_of(matrices) == reference_sidecar(matrices)
+        assert_reads_every_layout(matrices)
 
 
 MALFORMED_SIDECARS = {
@@ -804,18 +824,78 @@ def test_parse_sidecar_refuses_malformed_matrix(text):
         parse_sidecar(text)
 
 
+@pytest.mark.parametrize("chunk", range(1, 8))
+@pytest.mark.parametrize("text", MALFORMED_SIDECARS.values(), ids=MALFORMED_SIDECARS)
+def test_parse_sidecar_refuses_malformed_matrix_in_tiny_chunks(text, chunk, monkeypatch):
+    monkeypatch.setattr(circuit, "_CHUNK", chunk)
+    with pytest.raises(CircuitError):
+        parse_sidecar(text)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 16])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 7), (16, 16)])
-def test_skeleton_is_the_template_without_numbers_and_whitespace(shape):
-    stripped = circuit._template(*shape).replace("%r", "").encode().translate(None, b" \t\n\r")
-    assert circuit._skeleton(*shape) == stripped
+def test_skeleton_is_the_template_without_numbers_and_whitespace(shape, rows_per_block, monkeypatch):
+    # the whole-matrix template as one block, and the writer's text of an
+    # all-written matrix cut into blocks of rows_per_block rows
+    r, c = shape
+    template = "[" + circuit._full_rows(r, c) + "]"
+    stripped = template.replace("%r", "").encode().translate(None, b" \t\n\r")
+    assert circuit._skeleton(r, c) == stripped
+    monkeypatch.setattr(circuit, "_BLOCK_PAIRS", rows_per_block * c)
+    text = sidecar_of({"m": np.full(shape, 1 + 1j)})
+    body = text[text.index("[") : text.rindex("]") + 1].encode()
+    assert circuit._skeleton(r, c) == body.translate(None, circuit._NUMBER + b" \t\n\r")
 
 
 def test_reading_a_sidecar_caches_no_writer_template():
-    # the reader's skeleton is built from (r, c); a 256 x 256 template is 1.7 MB
+    # the reader's skeleton is built from (r, c); a full block's template is 107 kB
     text = json.dumps({"a": matrix_to_pairs(np.ones((5, 6)))}, indent=1)
-    circuit._template.cache_clear()
+    circuit._full_rows.cache_clear()
     parse_sidecar(text)
-    assert circuit._template.cache_info().currsize == 0
+    assert circuit._full_rows.cache_info().currsize == 0
+
+
+def svd_sigma_block(d: int) -> np.ndarray:
+    """The diagonal 2d x 2d u_sigma of an svd dilation, as a sidecar ships it."""
+    m = np.random.default_rng(d).normal(size=(d, d))
+    return svd_dilation(m / np.linalg.norm(m, 2))[1]
+
+
+CODEC_BLOCKS = pytest.mark.parametrize(
+    "matrix",
+    [
+        np.random.default_rng(5).normal(size=(256, 256, 2)).view(complex)[..., 0],
+        svd_sigma_block(128),
+    ],
+    ids=["dense", "svd sigma"],
+)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@CODEC_BLOCKS
+def test_sidecar_writer_holds_the_text_and_its_pieces(matrix):
+    # the text, the block strings it is joined from and one block's numbers: about 2.1x
+    text, peak = traced_peak(sidecar_of, {"m": matrix})
+    assert peak <= 2.5 * len(text)
+
+
+@CODEC_BLOCKS
+def test_sidecar_reader_holds_the_values_and_one_chunk(matrix):
+    # the values array, the skeleton and one chunk's bytes and tokens
+    text = sidecar_of({"m": matrix})
+    back, peak = traced_peak(parse_sidecar, text)
+    assert back["m"].tobytes() == matrix.tobytes()
+    assert peak <= back["m"].nbytes + 2 * 2**20
 
 
 # --- native text round trip ----------------------------------------------------

@@ -14,7 +14,7 @@ from oqsynth.channel import (
     random_kraus_set,
     validate_cptp,
 )
-from oqsynth import circuit, simulator
+from oqsynth import circuit, cli, simulator
 from oqsynth.cli import main
 from oqsynth.circuit import parse_circuit, parse_sidecar
 
@@ -460,6 +460,19 @@ def test_synth_refuses_non_finite_matrix(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
     assert not out.exists() and not mats.exists()
+
+
+@pytest.mark.parametrize("write_slice", [7, cli._WRITE_SLICE])
+def test_synth_writes_each_text_whole_in_slices(tmp_path, monkeypatch, write_slice):
+    monkeypatch.setattr(cli, "_WRITE_SLICE", write_slice)
+    kset = random_kraus_set(2, 4, seed=5)
+    path = write_kraus(tmp_path / "k.json", kset)
+    out, mats = tmp_path / "c.txt", tmp_path / "m.json"
+    argv = ["synth", path, "--method", "svd", "--group", "2", "--out", str(out), "--matrices", str(mats)]
+    assert main(argv) == 0
+    circ = circuit.assemble_simulation_circuit(kset, "svd", group_size=2)
+    assert mats.read_bytes() == circuit.opaque_sidecar(circ).encode()
+    assert out.read_bytes() == circuit.export_circuit(circ).encode()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--matrices", "--metrics"])

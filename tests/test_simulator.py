@@ -803,7 +803,7 @@ def test_isometry_factors_match_dense_oracle(shape, seed, pure):
 
 @settings(deadline=None, max_examples=150)
 @given(layered_circuits(cswaps=True), st.integers(0, 2**32 - 1), st.booleans())
-def test_compiled_cswap_contractions_match_dense_oracle(shape, seed, pure):
+def test_mix_step_and_per_pair_cswaps_match_dense_oracle(shape, seed, pure):
     # one or two pairs, a kept or traced control, and input and fresh wires,
     # among the elementary gates, opaque blocks, post-selections and traces
     check_against_oracle(shape, seed, pure)
