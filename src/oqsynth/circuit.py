@@ -303,11 +303,6 @@ def multi_target_cswap(
     return gates
 
 
-def _mixer_ancillas(num_states: int, width: int, mode: str) -> int:
-    """Ancillas of a mixing tree: one control per merge, plus fanout copies."""
-    return (num_states - 1) * (1 if mode == "shared" else width)
-
-
 def _mixer_tree(num_states: int, width: int, mode: str, weights=None):
     """Gates of the binary CSWAP mixing tree over registers 0..num_states-1.
 
@@ -318,7 +313,7 @@ def _mixer_tree(num_states: int, width: int, mode: str, weights=None):
     subtree weights), then in fanout mode the control copies.
     """
     reg_wires = [range(i * width, (i + 1) * width) for i in range(num_states)]
-    per_merge = _mixer_ancillas(2, width, mode)
+    per_merge = costmodel.mixer_cost(2, width, mode).ancillas
     subtree = None if weights is None else list(weights)
     control = num_states * width
     stride = 1
@@ -374,7 +369,7 @@ def build_mixer(
             weights = None
 
     regs = {f"reg{i}": tuple(range(i * q, (i + 1) * q)) for i in range(n_states)}
-    num_anc = _mixer_ancillas(n_states, q, mode)
+    num_anc = costmodel.mixer_cost(n_states, q, mode).ancillas
     circ = Circuit(
         num_qubits=n_states * q + num_anc,
         registers={**regs, "mixer_anc": tuple(range(n_states * q, n_states * q + num_anc))},
@@ -458,7 +453,7 @@ def assemble_simulation_circuit(
     b_count = len(branches)
     cost = costmodel.dilation_cost(method, n, group_size=group_size)
 
-    num_anc = _mixer_ancillas(b_count, q, mode)
+    num_anc = costmodel.mixer_cost(b_count, q, mode).ancillas
     circ = Circuit(
         num_qubits=b_count * q + num_anc,
         registers={"mixer_anc": tuple(range(b_count * q, b_count * q + num_anc))},
@@ -711,7 +706,13 @@ def _read_matrix(text_and_start, scan_once):
         edge = _NOT_NUMBER.search(text, min(cuts[-1] + _CHUNK, end), end)
         cuts.append(edge.start() if edge else end)
     chunks = list(zip(cuts, cuts[1:]))
-    pieces = (text[a:b].encode("ascii").translate(None, _NUMBER + _SPACE) for a, b in chunks)
+    pieces = []  # this first pass meets any non-ASCII char; the second cannot
+    for a, b in chunks:
+        try:
+            pieces.append(text[a:b].encode("ascii").translate(None, _NUMBER + _SPACE))
+        except UnicodeEncodeError as exc:
+            i = a + exc.start  # the char's index in the whole text, not in its chunk
+            raise ValueError(f"non-ASCII character {text[i]!r} at char {i}") from None
     skeleton = b"".join(pieces)
     c = max(skeleton.find(b"]]") // 4, 1)  # a row is "[" + "[,]," * (c - 1) + "[,]]"
     r = max((len(skeleton) - 1) // (4 * c + 2), 1)

@@ -93,9 +93,12 @@ def dilation_cost(
     stinespring covers the whole set (requires a power-of-two ``m``);
     sznagy/svd cost one branch of ``m / group_size``. Depth equals the
     block's total gate count by convention, since no transpiler-independent
-    depth exists for dense unitary blocks.
+    depth exists for dense unitary blocks. An n below 1, and for sznagy/svd a
+    group size that is not a power of two, raise ValueError as combined_cost does.
     """
     _check_method(method)
+    if n < 1:
+        raise ValueError(f"system qubit count n = {n} must be at least 1")
     d = 2**n
     ld = group_size * d
     if method == "stinespring":
@@ -108,6 +111,7 @@ def dilation_cost(
             depth=cnot,
             uncounted_cnot_bound=math.log2(m * d) ** 2 * d,
         )
+    _log2_int(group_size, "group size")
     if method == "sznagy":
         # isometry of shape (2*ld x d) per branch; scales linearly in the
         # grouping factor, with the ungrouped linear term kept at d/24
@@ -142,9 +146,6 @@ class MixerCost:
     layer hides inside the first elementary-CSWAP block's control slack.
     """
 
-    num_states: int
-    state_width: int
-    mode: str
     cswap_depth: int
     prep_depth: int
     total_depth: int
@@ -153,19 +154,19 @@ class MixerCost:
 
 
 def mixer_cost(num_states: int, state_width: int, mode: str = "shared") -> MixerCost:
-    """Exact depth/ancilla/CNOT figures for the binary mixing tree."""
+    """Exact depth/ancilla/CNOT figures for the binary mixing tree. The mixers it
+    prices (N a power of two, q >= 1) and its ancilla count are the builders'."""
     _check_mode(mode)
     layers = _log2_int(num_states, "number of states")
     q = state_width
+    if q < 1:
+        raise ValueError(f"state width {q} must be at least one qubit")
     if num_states == 1:
-        return MixerCost(num_states, q, mode, 0, 0, 0, 0, 0)
+        return MixerCost(0, 0, 0, 0, 0)
     merges = num_states - 1
     if mode == "shared":
         per_layer = multi_target_cswap_depth(q)
         return MixerCost(
-            num_states=num_states,
-            state_width=q,
-            mode=mode,
             cswap_depth=layers * per_layer,
             prep_depth=1,
             total_depth=layers * per_layer + 1,
@@ -174,9 +175,6 @@ def mixer_cost(num_states: int, state_width: int, mode: str = "shared") -> Mixer
         )
     tree = math.ceil(math.log2(q)) if q > 1 else 0
     return MixerCost(
-        num_states=num_states,
-        state_width=q,
-        mode=mode,
         cswap_depth=CSWAP_DEPTH * layers,
         prep_depth=1 + tree,
         total_depth=CSWAP_DEPTH * layers + tree,

@@ -14,6 +14,7 @@ import pytest
 from oqsynth import costmodel
 from oqsynth.channel import (
     FMOParams,
+    NotPowerOfTwoError,
     apply_grouped,
     apply_channel,
     fmo_initial_state,
@@ -24,6 +25,7 @@ from oqsynth.channel import (
 )
 from oqsynth.circuit import (
     Circuit,
+    CircuitError,
     assemble_simulation_circuit,
     build_mixer,
     cswap_elementary,
@@ -43,6 +45,11 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} ({name}): FAIL")
         raise
     print(f"ACCEPTANCE {number} ({name}): PASS")
+
+
+def used_wires(circ):
+    """The wires some gate acts on; a TRACE_OUT or POSTSELECT marker does not count."""
+    return {q for g in circ.gates if g.kind not in ("TRACE_OUT", "POSTSELECT") for q in g.qubits}
 
 
 def random_density(rng, dim):
@@ -207,6 +214,9 @@ def test_criterion_9_costmodel_simulator_agreement():
                     assert mixer.depth() == cost.total_depth, (mode, n_states, q)
                     assert mixer.cnot_count() == cost.cnot, (mode, n_states, q)
                     assert len(mixer.registers["mixer_anc"]) == cost.ancillas
+                    # the builder sizes the register from the model, so check that
+                    # every wire of it is used (Circuit.add refuses one past it)
+                    assert set(mixer.registers["mixer_anc"]) <= used_wires(mixer)
         # success probabilities: analytic report vs measured post-selection
         rng = np.random.default_rng(909)
         for n, m in [(1, 4), (2, 4)]:
@@ -224,3 +234,39 @@ def test_criterion_9_costmodel_simulator_agreement():
             circ = assemble_simulation_circuit(kset, "stinespring")
             _, p = run(circ, rho)
             assert p == report.success_probability == 1.0
+
+
+def test_mixer_cost_and_build_mixer_accept_the_same_shapes():
+    # the cost model decides which mixers exist; the builder agrees on every shape
+    for n_states in range(10):
+        for q in range(-1, 4):
+            for mode in ("shared", "fanout"):
+                try:
+                    cost = costmodel.mixer_cost(n_states, q, mode)
+                except ValueError:
+                    cost = None
+                try:
+                    mixer = build_mixer(n_states, q, mode=mode)
+                except (CircuitError, NotPowerOfTwoError):
+                    mixer = None
+                shape = (n_states, q, mode)
+                assert (cost is None) == (mixer is None), shape
+                if mixer is not None:
+                    assert mixer.depth() == cost.total_depth, shape
+                    assert mixer.cnot_count() == cost.cnot, shape
+                    assert len(mixer.registers["mixer_anc"]) == cost.ancillas, shape
+                    weighted = build_mixer(n_states, q, mode=mode, weights=range(1, n_states + 1))
+                    for circ in (mixer, weighted):
+                        assert set(circ.registers["mixer_anc"]) <= used_wires(circ), shape
+
+
+def test_every_mixer_ancilla_of_an_assembled_circuit_is_used():
+    for n in (1, 2, 3):
+        for m in (2, 4, 8, 16):
+            kset = random_kraus_set(n, m, seed=100 * n + m)
+            for l in (2**j for j in range(int(math.log2(m)) + 1)):
+                for method in ("sznagy", "svd"):
+                    for mode in ("shared", "fanout"):
+                        circ = assemble_simulation_circuit(kset, method, l, mode)
+                        anc = set(circ.registers["mixer_anc"])
+                        assert anc <= used_wires(circ), (n, m, l, method, mode)

@@ -267,6 +267,9 @@ class TestBuildMixer:
         kinds = [g.kind for g in c.gates]
         assert "RY" in kinds and "H" not in kinds
 
+    def test_equal_weights_are_uniform(self):
+        assert build_mixer(2, 1, weights=(2, 2)).gates == build_mixer(2, 1).gates
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(NotPowerOfTwoError):
             build_mixer(3, 1)
@@ -360,6 +363,43 @@ def test_builders_refuse_unknown_ancilla_mode(build):
         build("bogus")
 
 
+# (call, the error it raises, what the message says)
+REFUSED_CALLS = {
+    "negative qubit": (lambda: Gate("H", (-1,)), CircuitError, "negative qubit index"),
+    "qubit past the register": (
+        lambda: Circuit(2).add(h(2)),
+        CircuitError,
+        "touches qubit 2 outside register of 2",
+    ),
+    "no CIRCUIT header": (
+        lambda: parse_circuit("GATE H q0"),
+        CircuitError,
+        "must start with a CIRCUIT header",
+    ),
+    "unknown export format": (
+        lambda: export_circuit(Circuit(1), fmt="bogus"),
+        UnsupportedGateError,
+        "unknown export format 'bogus'",
+    ),
+    "unknown method": (
+        lambda: assemble_simulation_circuit(random_kraus_set(1, 2, seed=1), "bogus"),
+        CircuitError,
+        "unknown method 'bogus'",
+    ),
+    "fanout ancilla on a pair wire": (
+        lambda: multi_target_cswap(0, [(1, 2), (3, 4)], mode="fanout", ancillas=(3,)),
+        QubitCollisionError,
+        "qubits overlap in fanout CSWAP",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
+def test_refused_calls(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 class TestSerialization:
     def test_single_h(self):
         c = circuit_of([h(0)], 1)
@@ -413,6 +453,33 @@ class TestSerialization:
         c = assemble_simulation_circuit(k, "stinespring")
         text = export_circuit(c, fmt="qasm-elementary")
         assert "opaque stinespring_unitary" in text
+
+    @pytest.mark.parametrize("method", ["sznagy", "svd"])
+    def test_qasm_of_a_fanout_assembly(self, method):
+        # two branches of one block (sznagy) or three (svd)
+        c = assemble_simulation_circuit(random_kraus_set(2, 4, seed=1), method, 2, "fanout")
+        lines = export_circuit(c, fmt="qasm-elementary").splitlines()
+        ids = {g.matrix_id for g in c.gates if g.kind == "OPAQUE_UNITARY"}
+        assert len(ids) == (2 if method == "sznagy" else 6)
+        assert sum(ln.startswith("opaque ") for ln in lines) == len(ids)
+        for mid in ids:
+            (declared,) = [i for i, ln in enumerate(lines) if ln.startswith(f"opaque {mid} ")]
+            assert declared < min(i for i, ln in enumerate(lines) if ln.startswith(f"{mid} "))
+        (dil0,) = c.registers["branch0_dilation"]
+        postselects = [ln for ln in lines if ln.startswith("// postselect")]
+        assert postselects == [f"// postselect q[{dil0}] -> 0"]
+        assert sum(ln.startswith("// trace_out ") for ln in lines) == 1
+        assert not any("MULTI_TARGET_CSWAP" in ln or "cswap" in ln for ln in lines)
+
+    def test_qasm_ry_angles_read_back_bit_exact(self):
+        c = build_mixer(4, 2, mode="fanout", weights=(0.1, 0.2, 0.3, 0.4))
+        lines = export_circuit(c, fmt="qasm-elementary").splitlines()
+        angles = [ln[3 : ln.index(")")] for ln in lines if ln.startswith("ry(")]
+        thetas = [g.theta for g in c.gates if g.kind == "RY"]
+        assert len(angles) == len(thetas) == 3
+        for angle, theta in zip(angles, thetas):
+            assert len(angle.replace(".", "").lstrip("0")) == 17
+            assert np.float64(float(angle)).tobytes() == np.float64(theta).tobytes()
 
 
 # --- sidecar byte contract ---------------------------------------------------
@@ -554,6 +621,7 @@ MALFORMED_NATIVE = [
     "CIRCUIT num_qubits=4\nGATE RZ q0 # theta=1",
     "CIRCUIT num_qubits=4\nGATE POSTSELECT q0 # outcome=0,outcome=1",
     "CIRCUIT num_qubits=4\nGATE POSTSELECT q0 # outcome",
+    "CIRCUIT num_qubits=4\nNOPE q0",
 ]
 
 
@@ -830,6 +898,22 @@ def test_parse_sidecar_refuses_malformed_matrix_in_tiny_chunks(text, chunk, monk
     monkeypatch.setattr(circuit, "_CHUNK", chunk)
     with pytest.raises(CircuitError):
         parse_sidecar(text)
+
+
+@pytest.mark.parametrize(
+    "shape,at,chunk",
+    [((2, 2), 100, None), ((64, 64), 150_000, None), ((2, 2), 100, 1), ((8, 8), 2000, 7)],
+    ids=["first body", "past the first chunk", "first body in 1-char chunks", "7-char chunks"],
+)
+def test_parse_sidecar_names_a_non_ascii_char_by_its_index(shape, at, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(circuit, "_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    text = sidecar_of({"m": rng.standard_normal(shape) + 1j * rng.standard_normal(shape)})
+    i = text.index(" ", at)  # indentation inside the body; 150_000 is past the first chunk
+    message = f"malformed sidecar: non-ASCII character 'é' at char {i}$"
+    with pytest.raises(CircuitError, match=message):
+        parse_sidecar(text[:i] + "é" + text[i + 1 :])
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 16])

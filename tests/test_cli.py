@@ -134,6 +134,26 @@ class TestSynth:
         assert outs[0] == outs[1]
 
 
+    def test_qasm_elementary_in_fanout_mode(self, tmp_path):
+        k = write_kraus(tmp_path / "k.json", random_kraus_set(2, 4, seed=1))
+        out = tmp_path / "c.qasm"
+        argv = ["synth", k, "--method", "svd", "--group", "2", "--mode", "fanout"]
+        assert main([*argv, "--format", "qasm-elementary", "--out", str(out)]) == 0
+        assert "// postselect q[3] -> 0\n" in out.read_text()
+
+    @pytest.mark.parametrize("matrices", [[], ["--matrices", "m.json"]])
+    def test_qasm_elementary_refuses_shared_mode(self, tmp_path, capsys, matrices, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_kraus(tmp_path / "k.json", random_kraus_set(2, 4, seed=1))
+        argv = ["synth", "k.json", "--method", "svd", "--group", "2", "--format", "qasm-elementary"]
+        assert main([*argv, "--out", "c.qasm", *matrices]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "MULTI_TARGET_CSWAP has no elementary QASM form" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+
+
 class TestSimulate:
     def test_identity_channel(self, tmp_path, capsys):
         kpath = write_kraus(tmp_path / "k.json", identity_set())
@@ -161,6 +181,22 @@ class TestSimulate:
         )
         assert main(["simulate", kpath, spath]) == 2
 
+    @pytest.mark.parametrize(
+        "kind,data,message",
+        [
+            ("mixed", [[1, 0], [0, 0]], "unknown state kind 'mixed'"),
+            ("pure", [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "expected rows of [re, im] pairs"),
+        ],
+    )
+    def test_state_kind_and_shape(self, tmp_path, capsys, kind, data, message):
+        kpath = write_kraus(tmp_path / "k.json", identity_set())
+        spath = write_state(tmp_path / "s.json", 1, kind, data)
+        assert main(["simulate", kpath, spath]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_zero_pure_state(self, tmp_path, capsys):
         kpath = write_kraus(tmp_path / "k.json", identity_set())
         spath = write_state(tmp_path / "zero.json", 1, "pure", [[0.0, 0.0], [0.0, 0.0]])
@@ -178,6 +214,13 @@ class TestFmo:
         assert len(lines) == 7
         last = lines[-1].split(",")
         assert abs(float(last[-1]) - 1.0) <= 1e-10
+
+    def test_without_out_prints_the_csv(self, capsys):
+        assert main(["fmo", "--steps", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "step,time_fs,p_site0,p_site1,p_site2,p_site3,p_site4,trace"
+        assert [ln.split(",")[0] for ln in lines[1:4]] == ["0", "1", "2"]
+        assert len(lines) == 5 and lines[4].startswith("final populations: ")
 
     def test_zero_rates_constant_populations(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -248,6 +291,12 @@ class TestCost:
         out = capsys.readouterr().out
         assert out.startswith("method,n,m,l,mode,depth,cnot,qubits,p_success,shots")
         assert "svd,2,16,2,shared," in out
+
+    def test_rejects_zero_operators(self, capsys):
+        assert main(["cost", "--n", "1", "--m", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 0 has no power-of-two padding; need at least 1\n"
 
     def test_sweep_rejects_stinespring(self):
         assert main(["cost", "--n", "1", "--m", "4", "--method", "stinespring", "--sweep-groups"]) == 2

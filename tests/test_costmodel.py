@@ -53,6 +53,23 @@ class TestDilationCost:
         with pytest.raises(ValueError):
             dilation_cost("stinespring", 2)
 
+    # the refusals and messages of combined_cost
+    @pytest.mark.parametrize("method", ["stinespring", "sznagy", "svd"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_system_without_qubits(self, method, n):
+        with pytest.raises(ValueError, match=f"^system qubit count n = {n} must be at least 1$"):
+            dilation_cost(method, n, m=4)
+
+    @pytest.mark.parametrize("method", ["sznagy", "svd"])
+    @pytest.mark.parametrize("l", [0, 3, -2])
+    def test_rejects_group_size_not_a_power_of_two(self, method, l):
+        with pytest.raises(ValueError, match=f"^group size = {l} is not a power of two$"):
+            dilation_cost(method, 1, group_size=l)
+
+    def test_stinespring_ignores_the_group_size(self):
+        want = dilation_cost("stinespring", 1, m=4)
+        assert dilation_cost("stinespring", 1, m=4, group_size=3) == want
+
 
 class TestMixerCost:
     def test_shared_example(self):
@@ -70,6 +87,13 @@ class TestMixerCost:
     def test_trivial(self):
         c = mixer_cost(1, 5, "shared")
         assert c.cswap_depth == 0 and c.ancillas == 0 and c.total_depth == 0
+
+    @pytest.mark.parametrize("mode", ["shared", "fanout"])
+    @pytest.mark.parametrize("num_states", [1, 2, 4])
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_rejects_state_without_qubits(self, q, num_states, mode):
+        with pytest.raises(ValueError, match=f"^state width {q} must be at least one qubit$"):
+            mixer_cost(num_states, q, mode)
 
     def test_eight_states_shared(self):
         c = mixer_cost(8, 3, "shared")
