@@ -538,6 +538,8 @@ def _gate_line(g: Gate) -> str:
 def _export_native(circ: Circuit) -> str:
     lines = [f"CIRCUIT num_qubits={circ.num_qubits}"]
     for name in sorted(circ.registers):
+        if name.split() != [name]:  # the reader takes a name as one whitespace-free token
+            raise CircuitError(f"register name {name!r} is not one word")
         qs = " ".join(f"q{q}" for q in circ.registers[name])
         lines.append(f"REGISTER {name} {qs}".rstrip())
     for reg in circ.input_registers:

@@ -21,17 +21,14 @@ two-sided ``u rho u^dag``. K S K^dag is formed once, before a POSTSELECT, a
 trace, a mix or the final state.
 
 A run is planned once, then executed. ``_plan`` walks the gates over the
-factors' wire lists without building any state, once per circuit structure
-(the gates and the input registers; matrix values play no part). It fixes the
-factor each gate acts on, the merges, the axis moves of each apply, the
-densify points, the wires that retire after each gate and which CSWAPs mix,
-and it checks the width limit. The plan holds no state and no matrix (only
-the |0> and [[1]] of a fresh wire), and :func:`run` executes its steps, so
-both inputs of a verification, and every circuit of one shape, share one
-plan. Per input, on a 2-vCPU Xeon with numpy 2.4.6 on one BLAS thread, with
-the plan cached, n=2, m=16 svd l=4 shared runs in 0.23-0.33 ms (1.0 ms gate
-by gate), sznagy l=4 in 0.17-0.21 ms (0.80 ms) and n=3, m=16 svd l=16 in
-0.49-0.51 ms (0.65-0.83 ms).
+factors' wire lists once per circuit structure (the gates and the input
+registers; matrix values play no part), building no state. It fixes each
+gate's factor, the merges, the axis moves, the densify points, the retiring
+wires and which CSWAPs mix, checks the width limit and the register overlap,
+and returns the executor, the one reader of the value slots. The executor
+checks each block against its gate, runs the steps on one checked density per
+input register and returns the state and the probability; both inputs of a
+verification, and every circuit of one shape, share it.
 
 Global basis convention: qubit 0 is the least significant bit.
 """
@@ -175,35 +172,18 @@ class _Factor:
         return len(self.wires)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What :func:`run` executes: each of ``steps`` in turn on a copy of ``values``.
-
-    A step reads and writes value slots. ``values`` holds the K = |0> and
-    S = [[1]] of each fresh wire, and ``None`` where a run fills in
-    ``circuit.matrices`` and the input densities (slots ``inputs``, one per
-    input register) or a step writes. No step writes into an array it reads,
-    so the shared constants stay as they are. ``output`` is the slot of the
-    final state; ``matrix_ids`` are the blocks the steps look up.
-    """
-
-    steps: tuple
-    values: tuple
-    inputs: tuple[int, ...]
-    output: int
-    matrix_ids: tuple[str, ...]
-
-
 class _Planner:
     """Walks a circuit over its factors' wire lists, building no state, and
     records every kernel as a step on value slots."""
 
     def __init__(self, registers):
+        if len({q for reg in registers for q in reg}) != sum(map(len, registers)):
+            raise SimulationError(f"input registers {registers} overlap")
         self.values: list = [None, 1.0]  # _MATRICES, _PROB
         self.steps: list = []  # each a function of the value slots
         # a register's highest qubit is its most significant bit
         self.factors = [_Factor(list(reversed(r)), self.slot(), None, 2 ** len(r)) for r in registers]
-        self.inputs = tuple(f.src for f in self.factors)
+        self.inputs = tuple((f.src, f.d) for f in self.factors)
 
     def slot(self, value=None) -> int:
         self.values.append(value)
@@ -408,9 +388,13 @@ class _Planner:
         self.factors.remove(fc)
         self.factors.remove(fb)
 
-    def finish(self, matrix_ids: tuple[str, ...]) -> _Plan:
+    def finish(self, blocks: tuple):
         """Add the final state: the one factor left, its wires in descending id
-        (MSB first), or the number 1 when every qubit was traced out."""
+        (MSB first), or the number 1 when every qubit was traced out. Returns
+        ``execute(matrices, rhos) -> (DensityMatrix, p)``, which checks each of
+        ``blocks``, (matrix id, k) pairs, before any step runs and runs the steps
+        on a copy of the values, ``matrices`` and one checked density per input
+        register filled in."""
         wires = sorted((w for f in self.factors for w in f.wires), reverse=True)
         if wires:
             f = self.merged(wires)
@@ -430,19 +414,35 @@ class _Planner:
                 v[output] = np.ones((1, 1), dtype=complex)
 
             self.steps.append(final)
-        return _Plan(tuple(self.steps), tuple(self.values), self.inputs, output, matrix_ids)
+        steps, values, inputs = tuple(self.steps), tuple(self.values), self.inputs
+
+        def execute(matrices: dict, rhos) -> tuple[DensityMatrix, float]:
+            for mid, k in blocks:
+                if mid not in matrices:
+                    raise SimulationError(f"missing matrix for block {mid!r}")
+                if (shape := np.shape(matrices[mid])) != (2**k, 2**k):
+                    raise SimulationError(f"block {mid!r} is {shape}, not {(2**k, 2**k)}")
+            vals = list(values)
+            vals[_MATRICES] = matrices
+            for (slot, d), rho in zip(inputs, rhos):
+                if rho.shape != (d, d):
+                    raise DimensionMismatchError(
+                        f"input state has shape {rho.shape}, expected dimension {d}"
+                    )
+                vals[slot] = rho
+            for step in steps:
+                step(vals)
+            out = vals[output]
+            return DensityMatrix(out, len(out).bit_length() - 1), vals[_PROB]
+
+        return execute
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(gates: tuple[Gate, ...], input_registers: tuple) -> _Plan:
-    """The steps of a run, worked out once per circuit structure.
-
-    It fixes which factor each gate acts on, the merges, each apply's axis
-    moves, the densify points, the wires that retire after each gate and which
-    CSWAPs mix, and it checks the width limit before any state is built. It
-    never reads a matrix, so every circuit with the same gates and input
-    registers shares one plan.
-    """
+def _plan(gates: tuple[Gate, ...], input_registers: tuple):
+    """The executor of a run (:meth:`_Planner.finish`), worked out once per
+    circuit structure: it never reads a matrix, so every circuit with the same
+    gates and input registers shares one."""
     # each qubit a TRACE_OUT discards leaves after its last gate, or at the
     # TRACE_OUT itself when no gate touches it
     retire: dict[int, int] = {}
@@ -466,45 +466,39 @@ def _plan(gates: tuple[Gate, ...], input_registers: tuple) -> _Plan:
         elif g.kind != "TRACE_OUT":
             plan.apply(g.qubits, g.matrix_id or _fixed_matrix(g))
         plan.trace_out(leaving)
-    return plan.finish(tuple(dict.fromkeys(g.matrix_id for g in gates if g.matrix_id)))
+    blocks = dict.fromkeys((g.matrix_id, len(g.qubits)) for g in gates if g.matrix_id)
+    return plan.finish(tuple(blocks))
+
+
+def _per_register(regs, states: tuple) -> tuple:
+    """One state per input register; a lone state goes to every register."""
+    states = states * len(regs) if len(states) == 1 and regs else states
+    if len(states) != len(regs):
+        raise DimensionMismatchError(f"{len(states)} input states for {len(regs)} input registers")
+    return states
 
 
 def run(circuit: Circuit, *states) -> tuple[DensityMatrix, float]:
     """Execute a circuit on one input state per input register.
 
-    Each state passes :func:`density`. One state is broadcast to every input
-    register, so a circuit with B input registers sees rho^(x B) and its
-    output trace goes as tr(rho)^B: that is why an input must be a density.
-    Several states are assigned register by register. TRACE_OUT is terminal:
-    a gate on a qubit after its TRACE_OUT raises :class:`SimulationError`.
-    Returns the reduced state over the surviving qubits (ascending index)
-    and the product of post-selection probabilities (1.0 when there are
-    none). A merge wider than :data:`MAX_FACTOR_QUBITS` raises
+    Each distinct (state, register width) passes :func:`density` once. One
+    state is broadcast to every input register, so a circuit with B input
+    registers sees rho^(x B) and its output trace goes as tr(rho)^B: that is
+    why an input must be a density. Several states are assigned register by
+    register. TRACE_OUT is terminal: a gate on a qubit after its TRACE_OUT
+    raises :class:`SimulationError`. Returns the reduced state over the
+    surviving qubits (ascending index) and the product of post-selection
+    probabilities (1.0 when there are none). A merge wider than
+    :data:`MAX_FACTOR_QUBITS`, overlapping input registers, or a block that is
+    missing or not 2^k x 2^k for its k-qubit gate raises
     :class:`SimulationError` before any gate runs.
     """
-    regs = circuit.input_registers
-    states = states * len(regs) if len(states) == 1 else states
-    if len(states) != len(regs):
-        raise DimensionMismatchError(
-            f"{len(states)} input states for {len(regs)} input registers"
-        )
-    if len({q for reg in regs for q in reg}) != sum(map(len, regs)):
-        raise SimulationError(f"input registers {regs} overlap")
-    # a state given to several registers passes the contract once
+    regs = tuple(map(tuple, circuit.input_registers))
+    states = _per_register(regs, states)
     rhos = {(id(s), len(reg)): s for reg, s in zip(regs, states)}
     rhos = {key: density(s, key[1]) for key, s in rhos.items()}
-    plan = _plan(tuple(circuit.gates), tuple(map(tuple, regs)))
-    for mid in plan.matrix_ids:
-        if mid not in circuit.matrices:
-            raise SimulationError(f"missing matrix for block {mid!r}")
-    vals = list(plan.values)
-    vals[_MATRICES] = circuit.matrices
-    for slot, reg, s in zip(plan.inputs, regs, states):
-        vals[slot] = rhos[id(s), len(reg)]
-    for step in plan.steps:
-        step(vals)
-    out = vals[plan.output]
-    return DensityMatrix(out, len(out).bit_length() - 1), vals[_PROB]
+    execute = _plan(tuple(circuit.gates), regs)
+    return execute(circuit.matrices, [rhos[id(s), len(reg)] for reg, s in zip(regs, states)])
 
 
 def tomography_inputs(dim: int) -> dict[str, np.ndarray]:
@@ -539,12 +533,15 @@ class EquivalenceReport:
 def check_circuit(
     kset: KrausSet, circuit: Circuit, expected_p: float, states, tol: float
 ) -> EquivalenceReport:
-    """Run ``circuit`` on each state (after :func:`density`) against ``apply_channel``."""
+    """Run ``circuit`` on each state against ``apply_channel``: one plan lookup,
+    and each state's one :func:`density` goes to the circuit and the channel."""
+    regs = tuple(map(tuple, circuit.input_registers))
+    execute = _plan(tuple(circuit.gates), regs)
     residuals, probabilities = [], []
     for state in states:
         rho = density(state, kset.num_qubits)
         want = apply_channel(kset, rho)
-        got, p = run(circuit, rho)
+        got, p = execute(circuit.matrices, _per_register(regs, (rho,)))
         residuals.append(max_abs(got.matrix - want))
         probabilities.append(p)
     failed = [

@@ -631,6 +631,17 @@ def test_parse_circuit_malformed_line(text):
         parse_circuit(text)
 
 
+@pytest.mark.parametrize("name", ["", "my reg", " r", "r\n", "a\tb"])
+def test_export_refuses_a_register_name_the_reader_cannot_split_off(name):
+    # "" used to export as "REGISTER  q0 q1" and read back as register q0 holding
+    # (1,); "my reg" exported, and the reader refused it
+    c = Circuit(num_qubits=2, registers={name: (0, 1)})
+    with pytest.raises(CircuitError, match=re.escape(repr(name))):
+        export_circuit(c)
+    c.registers = {"my_reg": (0, 1)}
+    assert parse_circuit(export_circuit(c)).registers == c.registers
+
+
 OPAQUE = {"matrix_id": "a", "depth_weight": 1.0, "cnot_weight": 0.0}
 OPAQUE_NOTES = "id=a,depth_weight=1,cnot_weight=0"
 

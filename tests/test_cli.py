@@ -474,7 +474,7 @@ def test_memory_error_exits_semantic(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 GiB")
 
-    monkeypatch.setattr(simulator, "run", exhausted)
+    monkeypatch.setattr(simulator, "_plan", exhausted)
     kpath = write_kraus(tmp_path / "k.json", identity_set())
     spath = write_state(tmp_path / "s.json", 1, "pure", [[1.0, 0.0], [0.0, 0.0]])
     assert main(["simulate", kpath, spath, "--method", "sznagy"]) == 1
@@ -485,7 +485,7 @@ def test_simulation_error_exits_semantic(tmp_path, capsys, monkeypatch):
     def zero_branch(*args, **kwargs):
         raise simulator.ZeroProbabilityBranch("post-selecting qubit 2 on 0 has probability 0")
 
-    monkeypatch.setattr(simulator, "run", zero_branch)
+    monkeypatch.setattr(simulator, "_plan", zero_branch)
     kpath = write_kraus(tmp_path / "k.json", identity_set())
     spath = write_state(tmp_path / "s.json", 1, "pure", [[1.0, 0.0], [0.0, 0.0]])
     assert main(["simulate", kpath, spath, "--method", "sznagy"]) == 1
@@ -681,15 +681,20 @@ def test_simulate_refuses_what_is_not_a_density(tmp_path, capsys, method, state,
 
 @pytest.mark.parametrize("field", ["output", "probability"])
 def test_simulate_nan_fails_closed(tmp_path, capsys, monkeypatch, field):
-    real = simulator.run
+    real = simulator._plan
 
-    def with_nan(circ, *states):
-        out, p = real(circ, *states)
-        if field == "output":
-            return simulator.DensityMatrix(np.full_like(out.matrix, np.nan), out.num_qubits), p
-        return out, np.nan
+    def with_nan(*structure):
+        execute = real(*structure)
 
-    monkeypatch.setattr(simulator, "run", with_nan)
+        def patched(*args):
+            out, p = execute(*args)
+            if field == "output":
+                return simulator.DensityMatrix(np.full_like(out.matrix, np.nan), out.num_qubits), p
+            return out, np.nan
+
+        return patched
+
+    monkeypatch.setattr(simulator, "_plan", with_nan)
     k = write_kraus(tmp_path / "k.json", random_kraus_set(1, 4, seed=1))
     s = write_state(tmp_path / "s.json", 1, "pure", [[0.6, 0.0], [0.0, 0.8]])
     assert main(["simulate", k, s, "--method", "svd"]) == 1

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from oqsynth.circuit import (
     cnot,
     cswap_elementary,
     h,
+    parse_sidecar,
     postselect,
     rz,
     t,
@@ -678,6 +680,9 @@ def test_state_count_must_be_one_or_one_per_register():
         run(c)
     with pytest.raises(DimensionMismatchError, match="3 input states for 2"):
         run(c, r, r, r)
+    # a circuit with no input register takes no state, not even one it would drop
+    with pytest.raises(DimensionMismatchError, match="1 input states for 0"):
+        run(circuit_of([h(0)], 1), "garbage")
 
 
 # --- isometry factors: engine against a dense U rho U^dag oracle ---------------
@@ -900,16 +905,22 @@ def test_run_refuses_states_off_by_1e_6(method, l, state, prop):
 
 
 def with_nan(monkeypatch, field):
-    """Make ``simulator.run`` return NaN in its output state or its probability."""
-    real = simulator.run
+    """Make the executors of ``simulator._plan`` return NaN in their output state
+    or their probability."""
+    real = simulator._plan
 
-    def patched(circ, *states):
-        out, p = real(circ, *states)
-        if field == "output":
-            return DensityMatrix(np.full_like(out.matrix, np.nan), out.num_qubits), p
-        return out, np.nan
+    def with_nan_executor(*structure):
+        execute = real(*structure)
 
-    monkeypatch.setattr(simulator, "run", patched)
+        def patched(*args):
+            out, p = execute(*args)
+            if field == "output":
+                return DensityMatrix(np.full_like(out.matrix, np.nan), out.num_qubits), p
+            return out, np.nan
+
+        return patched
+
+    monkeypatch.setattr(simulator, "_plan", with_nan_executor)
 
 
 @pytest.mark.parametrize("field", ["output", "probability"])
@@ -975,6 +986,59 @@ def test_missing_matrix_names_the_block_with_a_plan_cached():
     del c.matrices["u0"]
     with pytest.raises(SimulationError, match="missing matrix for block 'u0'"):
         run(c, rho)
+
+
+# (a block on a 2-qubit gate, or the 1x1 block a sidecar can carry)
+BAD_BLOCKS = {
+    "1x1 from a sidecar": parse_sidecar('{"u0": [[[1, 0]]]}')["u0"],
+    "2x2": np.eye(2),
+    "8x8": np.eye(8),
+    "4x2": np.eye(4)[:, :2],
+    "1-D": np.ones(4),
+}
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS.values(), ids=BAD_BLOCKS)
+def test_block_of_the_wrong_shape_is_named_before_any_step_runs(block):
+    # the first step refuses |000> (its branch has probability 0), so only a
+    # check made before any step runs can name the block of the second gate
+    c = opaque_circuit([postselect(2, 1), (1, 0)], 3, [(0, 1, 2)], 75)
+    rho = np.diag(np.eye(8)[0]).astype(complex)
+    with pytest.raises(ZeroProbabilityBranch):
+        run(c, rho)
+    c.matrices["u0"] = block
+    message = f"block 'u0' is {np.shape(block)}, not (4, 4)"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        run(c, rho)
+
+
+def test_each_state_passes_density_once(monkeypatch):
+    calls = []
+
+    def counted(state, num_qubits):
+        calls.append(num_qubits)
+        return density(state, num_qubits)
+
+    monkeypatch.setattr(simulator, "density", counted)
+    k = random_kraus_set(1, 4, seed=1)
+    verify_equivalence(k, "svd")  # n = 1: d^2 + 1 = 5 inputs
+    assert len(calls) == 5
+    c = assemble_simulation_circuit(k, "svd")
+    assert len(c.input_registers) == 4
+    states = list(tomography_inputs(2).values())[:3]
+    calls.clear()
+    check_circuit(k, c, 0.25, states, 1e-9)
+    assert len(calls) == 3
+    calls.clear()
+    run(c, states[0])
+    assert calls == [1]
+
+
+def test_check_circuit_refuses_a_register_narrower_than_the_channel():
+    k = random_kraus_set(2, 4, seed=1)
+    c = circuit_of([h(0)], 2, inputs=[(0,)])
+    with pytest.raises(DimensionMismatchError, match=r"shape \(4, 4\), expected dimension 2"):
+        check_circuit(k, c, 1.0, [np.eye(4) / 4], 1e-9)
 
 
 @pytest.mark.parametrize("method", ["svd", "sznagy"])
