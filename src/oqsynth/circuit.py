@@ -266,11 +266,11 @@ def multi_target_cswap(
 ) -> list[Gate]:
     """Swap ``pairs`` of qubits under one control.
 
-    shared mode emits a single logical gate of depth weight
-    6*ceil(log2(n_t)) + 14; fanout mode copies the (already prepared)
-    control onto fresh ancillas with a CNOT tree and runs one elementary
-    CSWAP per pair in parallel, each of depth 14. A single pair lowers to
-    the elementary decomposition in either mode. Neither mode prepares the
+    shared mode emits one logical gate of depth weight 6*ceil(log2(n_t)) + 14
+    for any n_t >= 1 (one pair: depth 14, 9 CNOTs, the CSWAP matrix); fanout
+    mode copies the (already prepared) control onto n_t - 1 fresh ancillas
+    with a CNOT tree and runs one elementary CSWAP per pair in parallel, so
+    one pair is exactly ``cswap_elementary``. Neither mode prepares the
     control superposition itself.
     """
     _check_mode(mode)
@@ -278,8 +278,6 @@ def multi_target_cswap(
     n_t = len(pairs)
     if n_t == 0:
         return []
-    if n_t == 1:
-        return cswap_elementary(control, pairs[0][0], pairs[0][1])
     if mode == "shared":
         return [multi_target_cswap_gate(control, pairs)]
     ancillas = tuple(ancillas)
@@ -303,55 +301,19 @@ def multi_target_cswap(
     return gates
 
 
-def _mixer_tree(num_states: int, width: int, mode: str, weights=None):
-    """Gates of the binary CSWAP mixing tree over registers 0..num_states-1.
-
-    Register i is wires [i*width, (i+1)*width). Registers merge pairwise at
-    doubling strides, so register 0 ends up holding the mixture. Each merge
-    takes the next ancilla block after the registers: its control, prepared
-    with H (or, given ``weights``, with an RY angle matching the relative
-    subtree weights), then in fanout mode the control copies.
-    """
-    reg_wires = [range(i * width, (i + 1) * width) for i in range(num_states)]
-    per_merge = costmodel.mixer_cost(2, width, mode).ancillas
-    subtree = None if weights is None else list(weights)
-    control = num_states * width
-    stride = 1
-    while stride < num_states:
-        for i in range(0, num_states, 2 * stride):
-            k = i + stride
-            if subtree is None:
-                yield h(control)
-            else:
-                wi, wk = subtree[i], subtree[k]
-                keep_amp = math.sqrt(wi / (wi + wk)) if wi + wk > 0 else 1.0
-                yield ry(control, 2 * math.acos(min(1.0, keep_amp)))
-                subtree[i] = wi + wk
-            pairs = list(zip(reg_wires[i], reg_wires[k]))
-            if mode == "shared":
-                # atomic logical gate keeps each layer at exactly one weight
-                yield multi_target_cswap_gate(control, pairs)
-            else:
-                extra = range(control + 1, control + per_merge)
-                yield from multi_target_cswap(control, pairs, mode=mode, ancillas=extra)
-            control += per_merge
-        stride *= 2
-
-
 def build_mixer(
     num_states: int,
     state_width: int,
     mode: str = "shared",
     weights=None,
 ) -> Circuit:
-    """Binary-tree CSWAP mixer over ``num_states`` registers.
+    """Binary-tree CSWAP mixer over ``num_states`` registers: the one tree builder.
 
-    Registers of ``state_width`` qubits are combined pairwise at doubling
-    strides; after tracing out every other register and all ancillas,
-    register 0 holds the weighted mixture of the inputs. ``weights``
-    defaults to uniform, in which case controls are prepared with H;
-    otherwise each merge control gets an RY angle matching the relative
-    subtree weights.
+    Register i is wires [i*q, (i+1)*q); registers merge pairwise at doubling
+    strides. Each merge takes the next ancilla block after the registers: its
+    control, prepared with H (or an RY angle matching the relative subtree
+    ``weights``), then one :func:`multi_target_cswap`. The closing TRACE_OUT of
+    all but register 0 leaves there the weighted mixture of the inputs.
     """
     _check_mode(mode)
     n_states = num_states
@@ -378,8 +340,25 @@ def build_mixer(
     if n_states == 1:
         return circ
 
-    circ.extend(_mixer_tree(n_states, q, mode, weights))
-    circ.add(trace_out(range(q, n_states * q + num_anc)))  # all but register 0
+    per_merge = costmodel.mixer_cost(2, q, mode).ancillas
+    control = n_states * q
+    stride = 1
+    while stride < n_states:
+        for i in range(0, n_states, 2 * stride):
+            k = i + stride
+            if weights is None:
+                circ.add(h(control))
+            else:
+                wi, wk = weights[i], weights[k]
+                keep_amp = math.sqrt(wi / (wi + wk)) if wi + wk > 0 else 1.0
+                circ.add(ry(control, 2 * math.acos(min(1.0, keep_amp))))
+                weights[i] = wi + wk
+            pairs = zip(regs[f"reg{i}"], regs[f"reg{k}"])
+            extra = range(control + 1, control + per_merge)
+            circ.extend(multi_target_cswap(control, pairs, mode, extra))
+            control += per_merge
+        stride *= 2
+    circ.add(trace_out(range(q, circ.num_qubits)))  # all but register 0
     return circ
 
 
@@ -450,14 +429,13 @@ def assemble_simulation_circuit(
     g = int(math.log2(group_size))
     q = n + g + 1
     branches = stack[:-1]  # the last slice is the identity block
-    b_count = len(branches)
     cost = costmodel.dilation_cost(method, n, group_size=group_size)
 
-    num_anc = costmodel.mixer_cost(b_count, q, mode).ancillas
+    mixer = build_mixer(len(branches), q, mode)
     circ = Circuit(
-        num_qubits=b_count * q + num_anc,
-        registers={"mixer_anc": tuple(range(b_count * q, b_count * q + num_anc))},
-        input_registers=tuple(_branch_qubits(i * q, n, g)[0] for i in range(b_count)),
+        num_qubits=mixer.num_qubits,
+        registers={"mixer_anc": mixer.registers["mixer_anc"]},
+        input_registers=tuple(reg[:n] for reg in mixer.input_registers),  # branch systems
     )
 
     for i, op in enumerate(branches):
@@ -480,12 +458,12 @@ def assemble_simulation_circuit(
             circ.add(h(dil))
             _add_block(circ, expanded, f"branch{i}_u", u, half_depth, half_cnot)
 
-    circ.extend(_mixer_tree(b_count, q, mode))
+    circ.extend(mixer.gates[:-1])  # the tree, without its closing trace
 
     _, grouping0, dil0 = _branch_qubits(0, n, g)
     circ.add(postselect(dil0, 0))
     # register 0's grouping wires, then every later register and the ancillas
-    traced = grouping0 + tuple(range(q, b_count * q + num_anc))
+    traced = grouping0 + tuple(range(q, circ.num_qubits))
     if traced:
         circ.add(trace_out(traced))
     return circ
@@ -543,6 +521,8 @@ def _export_native(circ: Circuit) -> str:
         qs = " ".join(f"q{q}" for q in circ.registers[name])
         lines.append(f"REGISTER {name} {qs}".rstrip())
     for reg in circ.input_registers:
+        if not reg:  # the reader refuses an INPUT line with no qubits
+            raise CircuitError("an input register is empty")
         lines.append("INPUT " + " ".join(f"q{q}" for q in reg))
     lines.extend(_gate_line(g) for g in circ.gates)
     return "\n".join(lines) + "\n"
@@ -551,7 +531,8 @@ def _export_native(circ: Circuit) -> str:
 def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> Circuit:
     """Parse native-text back into a Circuit (inverse of the exporter).
 
-    Every qubit index must lie in ``[0, num_qubits)`` of the header.
+    Every qubit index must lie in ``[0, num_qubits)`` of the header; an INPUT
+    line names one or more qubits, a REGISTER zero or more.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("CIRCUIT "):
@@ -573,6 +554,8 @@ def parse_circuit(text: str, matrices: dict[str, np.ndarray] | None = None) -> C
                     raise ValueError(f"register {tokens[1]!r} is already defined")
                 registers[tokens[1]] = _qubits(tokens[2:], num_qubits)
             elif tokens[0] == "INPUT":
+                if not tokens[1:]:
+                    raise ValueError("an INPUT line needs one or more qubits")
                 inputs.append(_qubits(tokens[1:], num_qubits))
             elif tokens[0] == "GATE":
                 circ.add(_parse_gate(ln, num_qubits))

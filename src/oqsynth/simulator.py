@@ -544,6 +544,8 @@ def check_circuit(
         got, p = execute(circuit.matrices, _per_register(regs, (rho,)))
         residuals.append(max_abs(got.matrix - want))
         probabilities.append(p)
+    if not residuals:  # after the loop: an empty generator is not falsy
+        raise ValueError("check_circuit got no states to check")
     failed = [
         i for i, (r, p) in enumerate(zip(residuals, probabilities))
         if not (r <= tol and abs(p - expected_p) <= PROBABILITY_TOL)

@@ -182,12 +182,16 @@ class TestCswapElementary:
 
 
 class TestMultiTargetCswap:
-    def test_single_pair_lowers_to_elementary(self):
-        for mode in ("shared", "fanout"):
-            gates = multi_target_cswap(0, [(1, 2)], mode=mode)
-            assert circuit_of(gates, 3).depth() == 14
-            u = sequence_matrix(gates, 3)
-            assert max_abs(u - cswap_reference(0, 1, 2, 3)) <= 1e-12
+    def test_shared_single_pair_is_one_logical_gate(self):
+        gates = multi_target_cswap(0, [(1, 2)], mode="shared")
+        assert [(g.kind, g.n_targets) for g in gates] == [("MULTI_TARGET_CSWAP", 1)]
+        assert circuit_of(gates, 3).depth() == 14
+        assert circuit_of(gates, 3).cnot_count() == 9
+        u = sequence_matrix(gates, 3)
+        assert max_abs(u - cswap_reference(0, 1, 2, 3)) <= 1e-12
+
+    def test_fanout_single_pair_is_elementary(self):
+        assert multi_target_cswap(0, [(1, 2)], mode="fanout") == cswap_elementary(0, 1, 2)
 
     def test_shared_depth_formula(self):
         for n_t in (1, 2, 4, 8):
@@ -296,6 +300,10 @@ class TestAssemble:
         c = assemble_simulation_circuit(k, "stinespring")
         assert c.num_qubits == 1
         assert kinds(c)["TRACE_OUT"] == 0
+        # an empty REGISTER stays legal, unlike an empty INPUT
+        text = export_circuit(c)
+        assert "REGISTER environment\n" in text
+        assert parse_circuit(text).registers["environment"] == ()
 
     def test_sznagy_ungrouped_counts(self):
         k = random_kraus_set(2, 16, seed=3)
@@ -385,6 +393,11 @@ REFUSED_CALLS = {
         lambda: assemble_simulation_circuit(random_kraus_set(1, 2, seed=1), "bogus"),
         CircuitError,
         "unknown method 'bogus'",
+    ),
+    "empty input register": (
+        lambda: export_circuit(Circuit(2, input_registers=((0,), ()))),
+        CircuitError,
+        "an input register is empty",
     ),
     "fanout ancilla on a pair wire": (
         lambda: multi_target_cswap(0, [(1, 2), (3, 4)], mode="fanout", ancillas=(3,)),
@@ -613,6 +626,7 @@ MALFORMED_NATIVE = [
     "CIRCUIT num_qubits=4\nINPUT x0",
     "CIRCUIT num_qubits=4\nINPUT q0 q0",
     "CIRCUIT num_qubits=4\nINPUT q+1",
+    "CIRCUIT num_qubits=4\nINPUT",
     "CIRCUIT num_qubits=4\nREGISTER r q1 q1",
     "CIRCUIT num_qubits=4\nREGISTER r q0\nREGISTER r q1",
     "CIRCUIT num_qubits=4\nGATE H q0 theta=1",

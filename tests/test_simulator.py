@@ -1041,6 +1041,14 @@ def test_check_circuit_refuses_a_register_narrower_than_the_channel():
         check_circuit(k, c, 1.0, [np.eye(4) / 4], 1e-9)
 
 
+@pytest.mark.parametrize("states", [[], (), iter([])], ids=["list", "tuple", "generator"])
+def test_check_circuit_refuses_no_states(states):
+    # a report of no run would read as a pass
+    k = random_kraus_set(1, 4, seed=1)
+    with pytest.raises(ValueError, match="no states"):
+        check_circuit(k, assemble_simulation_circuit(k, "svd"), 0.25, states, 1e-9)
+
+
 @pytest.mark.parametrize("method", ["svd", "sznagy"])
 def test_warm_run_searches_no_contraction_path(monkeypatch, method):
     c = assemble_simulation_circuit(random_kraus_set(2, 16, seed=76), method, group_size=4)
