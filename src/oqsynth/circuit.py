@@ -458,7 +458,9 @@ def assemble_simulation_circuit(
             circ.add(h(dil))
             _add_block(circ, expanded, f"branch{i}_u", u, half_depth, half_cnot)
 
-    circ.extend(mixer.gates[:-1])  # the tree, without its closing trace
+    # the tree, without its closing trace; build_mixer checked its gates
+    # against a register of the same num_qubits
+    circ.gates += mixer.gates[:-1]
 
     _, grouping0, dil0 = _branch_qubits(0, n, g)
     circ.add(postselect(dil0, 0))
@@ -600,22 +602,26 @@ def _parse_gate(ln: str, num_qubits: int) -> Gate:
 
 
 _BLOCK_PAIRS = 4096  # the writer fills at most this many pairs (and at least one row) at a time
-# one [re, im] pair laid out as json's indent=1 form: the literal text of a pair
-# whose parts are both +0.0, and the two ``%r`` slots of any other pair
-_PAIRS = np.array(["   [\n    0.0,\n    0.0\n   ]", "   [\n    %r,\n    %r\n   ]"], dtype=object)
+# one [re, im] pair laid out as json's indent=1 form, indexed by 2 * (real part
+# written) + (imaginary part written): a part that is +0.0 is literal text, and
+# any other part is a ``%r`` slot
+_PAIRS = np.array(
+    [f"   [\n    {re},\n    {im}\n   ]" for re in ("0.0", "%r") for im in ("0.0", "%r")],
+    dtype=object,
+)
 
 
 def _rows(written: np.ndarray) -> str:
     """The ``%``-template of a block of rows laid out as json's indent=1 form,
-    with slots for the pairs where ``written`` is true."""
-    pairs = _PAIRS[written.view(np.int8)].tolist()  # the two strings, not copies
+    with slots for the parts where ``written`` (rows x pairs x 2) is true."""
+    pairs = _PAIRS[2 * written[..., 0] + written[..., 1]].tolist()  # the four strings, not copies
     return ",\n".join("  [\n" + ",\n".join(row) + "\n  ]" for row in pairs)
 
 
 @functools.lru_cache(maxsize=8)
 def _full_rows(r: int, c: int) -> str:
-    """The ``%``-template of r rows of c pairs, every pair written."""
-    return _rows(np.ones((r, c), dtype=bool))
+    """The ``%``-template of r rows of c pairs, every part written."""
+    return _rows(np.ones((r, c, 2), dtype=bool))
 
 
 def opaque_sidecar(circ: Circuit) -> str:
@@ -632,10 +638,10 @@ def opaque_sidecar(circ: Circuit) -> str:
     (or one row) each, by one ``%`` fill of a template laid out as json's
     indent=1 form; one ``"".join`` of the pieces is the only whole-text copy.
     ``%r`` of a float is ``float.__repr__``, the text json writes for a finite
-    float. Only the written pairs are formatted: a pair whose two parts are both
-    +0.0 (all 128 bits zero; a -0.0 has its sign bit set) is literal ``0.0, 0.0``
-    text, as most of a sznagy or svd block is; a block with no such pair fills
-    the cached all-slot template of its shape.
+    float. Only the written parts are formatted: a real or imaginary part that is
+    +0.0 (all 64 bits zero; a -0.0 has its sign bit set) is literal ``0.0`` text,
+    as most of a sznagy or svd block is; a block with no such part fills the
+    cached all-slot template of its shape.
     """
     checked = []
     for mid, mat in sorted(circ.matrices.items()):
@@ -653,9 +659,9 @@ def opaque_sidecar(circ: Circuit) -> str:
         step = max(_BLOCK_PAIRS // a.shape[1], 1)
         for top in range(0, a.shape[0], step):
             pairs = a[top : top + step].view(float).reshape(-1, a.shape[1], 2)
-            written = pairs.view(np.uint64).any(-1)
-            template = _full_rows(*written.shape) if written.all() else _rows(written)
-            pieces += (",\n" if top else "", template % tuple(pairs[written].ravel().tolist()))
+            written = pairs.view(np.uint64) != 0
+            template = _full_rows(*written.shape[:2]) if written.all() else _rows(written)
+            pieces += (",\n" if top else "", template % tuple(pairs[written].tolist()))
         pieces.append("\n ]")
     return "".join([*pieces, "\n}"]) if pieces else "{}"
 

@@ -6,12 +6,17 @@ a zero-probability post-selection, a factor wider than its limit, or
 memory exhausted), 2 malformed input, a matrix no dilation accepts, or
 an I/O error. All floating-point text output uses 17 significant digits
 so values round-trip exactly.
+
+The parser is built once per process, on the first :func:`main` call; later
+calls only parse and dispatch, so a caller that runs many commands in one
+process pays for each command and not for the argparse tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -281,9 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: argparse parses into a fresh namespace on every
+    call, so nothing one command line sets reaches the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NotTracePreservingError, simulator.SimulationError) as exc:

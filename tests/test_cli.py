@@ -714,3 +714,74 @@ def test_fmo_init_must_be_a_3_qubit_density(tmp_path, capsys, num_qubits, data, 
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
 
+
+
+# --- the one parser per process ------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start from an empty parser cache, and leave one behind for later tests."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch, fresh_parser):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    k = write_kraus(tmp_path / "k.json", identity_set())
+    assert main(["validate", k]) == 0
+    with pytest.raises(SystemExit):
+        main(["validate"])
+    assert main(["cost", "--n", "1", "--m", "2"]) == 0
+    assert main(["synth", k, "--method", "sznagy", "--out", str(tmp_path / "c.txt")]) == 0
+    assert len(built) == 1
+
+
+def test_tol_of_one_call_does_not_reach_the_next(tmp_path, capsys, fresh_parser):
+    # deviation 2e-6: inside --tol 1e-3, outside the default 1e-9
+    ops = [[[[(1 + 2e-6) ** 0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [(1 + 2e-6) ** 0.5, 0.0]]]]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"dim": 2, "operators": ops}))
+    assert [main(["validate", str(path), *tol]) for tol in ([], ["--tol", "1e-3"], [])] == [1, 0, 1]
+    verdicts = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts == ["NOT trace preserving", "valid CPTP set", "NOT trace preserving"]
+
+
+@pytest.mark.parametrize("bad", [[], ["synth"], ["cost", "--n", "x", "--m", "2"]])
+def test_usage_error_leaves_the_next_call_clean(bad, capsys, fresh_parser):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: oqsynth" + (f" {bad[0]}" if bad else ""))
+    assert main(["cost", "--n", "1", "--m", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 2  # CSV header and one row
+
+
+def help_text(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [[], ["validate"], ["synth"], ["simulate"], ["fmo"], ["cost"]])
+def test_help_is_the_same_on_a_later_call(command, capsys, fresh_parser):
+    first = help_text(command, capsys)
+    assert first.startswith("usage: oqsynth")
+    for other in ([], ["synth"], ["cost"]):
+        help_text(other, capsys)
+    assert help_text(command, capsys) == first
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
