@@ -15,7 +15,6 @@ matrix.
 
 from __future__ import annotations
 
-import functools
 import json
 import json.scanner
 import math
@@ -618,21 +617,15 @@ def _rows(written: np.ndarray) -> str:
     return ",\n".join("  [\n" + ",\n".join(row) + "\n  ]" for row in pairs)
 
 
-@functools.lru_cache(maxsize=8)
-def _full_rows(r: int, c: int) -> str:
-    """The ``%``-template of r rows of c pairs, every part written."""
-    return _rows(np.ones((r, c, 2), dtype=bool))
-
-
 def opaque_sidecar(circ: Circuit) -> str:
     """JSON sidecar mapping matrix ids to [re, im]-pair matrices.
 
     Byte contract: identical to ``json.dumps(payload, indent=1)`` of the
     payload ``{mid: matrix_to_pairs(m)}`` in sorted id order; finite,
-    non-empty 2-D complex matrices only. Anything else raises CircuitError
-    before any text is built (json would write ``NaN``, which
-    :func:`parse_sidecar` rejects, and ``[]``, which the template cannot
-    reproduce).
+    non-empty 2-D complex matrices only. Anything else raises CircuitError,
+    for the first such matrix in id order, and no text is returned (json
+    would write ``NaN``, which :func:`parse_sidecar` rejects, and ``[]``,
+    which the template cannot reproduce).
 
     Each matrix is filled in blocks of whole rows, at most ``_BLOCK_PAIRS`` pairs
     (or one row) each, by one ``%`` fill of a template laid out as json's
@@ -640,28 +633,23 @@ def opaque_sidecar(circ: Circuit) -> str:
     ``%r`` of a float is ``float.__repr__``, the text json writes for a finite
     float. Only the written parts are formatted: a real or imaginary part that is
     +0.0 (all 64 bits zero; a -0.0 has its sign bit set) is literal ``0.0`` text,
-    as most of a sznagy or svd block is; a block with no such part fills the
-    cached all-slot template of its shape.
+    as most of a sznagy or svd block is.
     """
-    checked = []
+    pieces = []
     for mid, mat in sorted(circ.matrices.items()):
-        a = np.asarray(mat, dtype=complex)
+        a = np.asarray(mat, dtype=complex, order="C")
         if a.ndim != 2 or 0 in a.shape:
             raise CircuitError(
                 f"matrix {mid!r} has shape {a.shape}; the sidecar holds non-empty 2-D matrices"
             )
         if not np.isfinite(a).all():
             raise CircuitError(f"matrix {mid!r} has a non-finite entry")
-        checked.append((mid, np.ascontiguousarray(a)))
-    pieces = []
-    for mid, a in checked:
         pieces.append(f"{',' if pieces else '{'}\n {json.dumps(mid)}: [\n")
         step = max(_BLOCK_PAIRS // a.shape[1], 1)
         for top in range(0, a.shape[0], step):
             pairs = a[top : top + step].view(float).reshape(-1, a.shape[1], 2)
             written = pairs.view(np.uint64) != 0
-            template = _full_rows(*written.shape[:2]) if written.all() else _rows(written)
-            pieces += (",\n" if top else "", template % tuple(pairs[written].tolist()))
+            pieces += (",\n" if top else "", _rows(written) % tuple(pairs[written].tolist()))
         pieces.append("\n ]")
     return "".join([*pieces, "\n}"]) if pieces else "{}"
 
@@ -673,7 +661,6 @@ _SPACE = b" \t\n\r"  # json's whitespace
 _STRUCTURE_TO_SPACE = bytes.maketrans(b"[],", b"   ")
 
 
-@functools.lru_cache(maxsize=8)
 def _skeleton(r: int, c: int) -> bytes:
     """What an r x c matrix's text leaves once its numbers and whitespace are removed."""
     row = b"[" + b",".join([b"[,]"] * c) + b"]"

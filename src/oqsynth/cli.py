@@ -31,7 +31,9 @@ from .linalg import LinalgError, pairs_to_matrix
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
-_WRITE_SLICE = 1 << 16  # chars encoded per write: no bytes copy of a whole file is made
+# chars encoded per write, so no bytes copy of a whole file is made: beside the text, that
+# copy would be the memory high-water of a synth that writes a multi-MB sidecar
+_WRITE_SLICE = 1 << 16
 
 
 def _load_json(path: str):
@@ -112,10 +114,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # a later write would replace an earlier one; a device such as /dev/stdout may repeat
-    outputs = [os.path.abspath(p) for p in (args.out, args.matrices, args.metrics) if p]
+    # a later write would replace an earlier one, also through a symlink or a hard
+    # link; a device such as /dev/stdout may repeat
+    outputs = [p for p in (args.out, args.matrices, args.metrics) if p]
     for i, path in enumerate(outputs):
-        if path in outputs[:i] and (os.path.isfile(path) or not os.path.exists(path)):
+        real, there = os.path.realpath(path), os.path.exists(path)
+        aliases = [p for p in outputs[:i] if os.path.realpath(p) == real
+                   or there and os.path.exists(p) and os.path.samefile(p, path)]
+        if aliases and (os.path.isfile(path) or not there):
+            path = os.path.abspath(path)
             raise _InputError(f"--out, --matrices and --metrics name {path} more than once")
     data = _load_json(args.kraus)
     kset = channel.kraus_from_json_dict(data, validate=not args.no_validate, tol=args.tol)

@@ -558,6 +558,21 @@ def test_sidecar_rejects_non_matrix_shapes(shape):
         sidecar_of({"m": np.ones(shape, dtype=complex)})
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [(np.full((2, 2), np.nan), "matrix 'b' has a non-finite entry"),
+     (np.ones(3), "matrix 'b' has shape (3,); the sidecar holds non-empty 2-D matrices")],
+    ids=["NaN", "1-D"],
+)
+def test_sidecar_refuses_the_first_bad_matrix_in_id_order(monkeypatch, bad, message):
+    # "a" is formatted before "b" is checked; "b" raises, and so would "c"
+    formatted, rows = [], circuit._rows
+    monkeypatch.setattr(circuit, "_rows", lambda w: formatted.append(w.shape) or rows(w))
+    with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+        sidecar_of({"c": np.full((2, 2), np.inf), "b": bad, "a": np.eye(2)})
+    assert formatted == [(2, 2, 2)]
+
+
 def from_pairs(pairs) -> np.ndarray:
     """The complex matrix of an r x c grid of [re, im] pairs, bit for bit."""
     return np.array(pairs, dtype=float).view(complex)[..., 0]
@@ -947,21 +962,13 @@ def test_skeleton_is_the_template_without_numbers_and_whitespace(shape, rows_per
     # the whole-matrix template as one block, and the writer's text of an
     # all-written matrix cut into blocks of rows_per_block rows
     r, c = shape
-    template = "[" + circuit._full_rows(r, c) + "]"
+    template = "[" + circuit._rows(np.ones((r, c, 2), bool)) + "]"
     stripped = template.replace("%r", "").encode().translate(None, b" \t\n\r")
     assert circuit._skeleton(r, c) == stripped
     monkeypatch.setattr(circuit, "_BLOCK_PAIRS", rows_per_block * c)
     text = sidecar_of({"m": np.full(shape, 1 + 1j)})
     body = text[text.index("[") : text.rindex("]") + 1].encode()
     assert circuit._skeleton(r, c) == body.translate(None, circuit._NUMBER + b" \t\n\r")
-
-
-def test_reading_a_sidecar_caches_no_writer_template():
-    # the reader's skeleton is built from (r, c); a full block's template is 107 kB
-    text = json.dumps({"a": matrix_to_pairs(np.ones((5, 6)))}, indent=1)
-    circuit._full_rows.cache_clear()
-    parse_sidecar(text)
-    assert circuit._full_rows.cache_info().currsize == 0
 
 
 def svd_sigma_block(d: int) -> np.ndarray:

@@ -537,18 +537,42 @@ def test_synth_failed_write_leaves_no_artefact(tmp_path, capsys, flag):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
 
 
+@pytest.mark.parametrize("alias", ["same path", "symlink", "hard link"])
 @pytest.mark.parametrize("pair", [("--out", "--matrices"), ("--out", "--metrics"),
                                   ("--matrices", "--metrics")])
-def test_synth_refuses_two_outputs_in_one_file(tmp_path, capsys, pair):
-    # the later write would replace the earlier one: refused before anything is written
+def test_synth_refuses_two_outputs_in_one_file(tmp_path, capsys, pair, alias):
+    # the later write would replace the earlier one, also when the second path is a
+    # symlink to the first (which need not exist yet) or a hard link to it: refused
+    # before anything is written
     path = write_kraus(tmp_path / "k.json", random_kraus_set(1, 2, seed=3))
+    second = "same.txt" if alias == "same path" else "link.txt"
+    if alias == "symlink":
+        (tmp_path / "link.txt").symlink_to(tmp_path / "same.txt")
+    if alias == "hard link":
+        (tmp_path / "same.txt").write_text("kept")
+        os.link(tmp_path / "same.txt", tmp_path / "link.txt")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    files = {pair[0]: "same.txt", pair[1]: second}
     argv = ["synth", path, "--method", "sznagy"]
     for name in ("--out", "--matrices", "--metrics"):
-        argv += [name, str(tmp_path / ("same.txt" if name in pair else name[2:]))]
+        argv += [name, str(tmp_path / files.get(name, name[2:]))]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+    assert err.endswith(f"name {tmp_path / second} more than once\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not (tmp_path / "same.txt").exists() or (tmp_path / "same.txt").read_text() == "kept"
+
+
+def test_simulate_reports_a_bad_state_before_a_bad_group(tmp_path, capsys):
+    # the state file is checked when it is read, before the circuit is assembled,
+    # so a trace-2 state names its trace and not the group size 3
+    k = write_kraus(tmp_path / "k.json", random_kraus_set(1, 4, seed=1))
+    s = write_state(tmp_path / "s.json", 1, "density", pairs(np.eye(2)))
+    assert main(["simulate", k, s, "--group", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input state has trace 2.0, not 1\n"
 
 
 def test_synth_failed_write_keeps_paths_that_existed(tmp_path):
